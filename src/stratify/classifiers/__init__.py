@@ -4,38 +4,61 @@
 ``predict_scores`` output always lies in [0, 1]; ``predict_labels`` applies the
 strict ``score > threshold`` rule. Models serialize to a versioned JSON
 document that round-trips bit-exactly (JSON floats carry Python's shortest
-repr, which reconstructs the same float64).
+repr, which reconstructs the same float64). Each algorithm is one ``FAMILIES``
+record; adding an algorithm means one module plus one entry there.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
+import typing
 from dataclasses import dataclass
 
 import numpy as np
 
 from ..errors import TrainingError
 from . import boosting, linear, neighbors, neural, svm, trees
-from .boosting import GBTParams, GBTState, gbt_margin, leaf_weight, split_gain
-from .linear import LRParams, LRState, lr_loss_grad, sigmoid
-from .neighbors import KNNParams, KNNState
-from .neural import MLPParams, MLPState, mlp_loss_grad
-from .svm import SVCParams, SVCState, decision_function
-from .trees import (DTParams, DTState, RFParams, RFState, TreeNode, best_split,
-                    build_cart, gini_impurity, tree_predict)
+from .trees import TreeNode
 
 MODEL_FORMAT_VERSION = 1
 
-ALGORITHMS = ("LR", "DT", "RF", "KNN", "MLP", "SVC", "GBT")
 
-# algorithms whose objective needs both classes to be trainable at all
-_NEEDS_BOTH_CLASSES = frozenset({"LR", "MLP", "SVC", "GBT"})
+@dataclass(frozen=True)
+class Family:
+    """Everything the shared contract needs to know about one algorithm.
 
-_PARAM_TYPES = {
-    "LR": LRParams, "DT": DTParams, "RF": RFParams, "KNN": KNNParams,
-    "MLP": MLPParams, "SVC": SVCParams, "GBT": GBTParams,
+    ``fit(X, y, params, seed)`` returns ``(state, meta)``; ``predict(state, X)``
+    returns raw scores. ``state`` is a dataclass with an ``n_features``
+    attribute; its field names are the keys of the model file's ``state`` object.
+    """
+
+    params: type
+    state: type
+    fit: typing.Callable
+    predict: typing.Callable
+    needs_both_classes: bool  # the objective is undefined on a single class
+
+
+FAMILIES = {
+    "LR": Family(linear.LRParams, linear.LRState, linear.fit_lr, linear.predict_lr, True),
+    "DT": Family(trees.DTParams, trees.DTState, trees.fit_dt, trees.predict_dt, False),
+    "RF": Family(trees.RFParams, trees.RFState, trees.fit_rf, trees.predict_rf, False),
+    "KNN": Family(neighbors.KNNParams, neighbors.KNNState, neighbors.fit_knn,
+                  neighbors.predict_knn, False),
+    "MLP": Family(neural.MLPParams, neural.MLPState, neural.fit_mlp, neural.predict_mlp, True),
+    "SVC": Family(svm.SVCParams, svm.SVCState, svm.fit_svc, svm.predict_svc, True),
+    "GBT": Family(boosting.GBTParams, boosting.GBTState, boosting.fit_gbt,
+                  boosting.predict_gbt, True),
 }
+
+ALGORITHMS = tuple(FAMILIES)
+
+
+def _family(algorithm: str) -> Family:
+    if algorithm not in FAMILIES:
+        raise TrainingError(f"unknown algorithm {algorithm!r}; supported: {ALGORITHMS}")
+    return FAMILIES[algorithm]
 
 
 @dataclass
@@ -48,25 +71,12 @@ class TrainedModel:
 
     @property
     def n_features(self) -> int:
-        s = self.state
-        if isinstance(s, LRState):
-            return len(s.weights)
-        if isinstance(s, (DTState, RFState, GBTState)):
-            return s.n_features
-        if isinstance(s, KNNState):
-            return s.X.shape[1]
-        if isinstance(s, MLPState):
-            return s.W1.shape[0]
-        if isinstance(s, SVCState):
-            return s.support_X.shape[1]
-        raise TrainingError("unknown model state")
+        return self.state.n_features
 
 
 def resolve_params(algorithm: str, params=None, **overrides):
     """Build the algorithm's parameter dataclass from a dict/dataclass/overrides."""
-    if algorithm not in ALGORITHMS:
-        raise TrainingError(f"unknown algorithm {algorithm!r}; supported: {ALGORITHMS}")
-    cls = _PARAM_TYPES[algorithm]
+    cls = _family(algorithm).params
     if params is None:
         return cls(**overrides)
     if isinstance(params, cls):
@@ -93,7 +103,7 @@ def _validate_training_input(algorithm, X, y):
     if not np.isin(y, (0, 1)).all():
         raise TrainingError("labels must be binary 0/1")
     y = y.astype(np.float64)
-    if algorithm in _NEEDS_BOTH_CLASSES and (y.min() == y.max()):
+    if FAMILIES[algorithm].needs_both_classes and (y.min() == y.max()):
         raise TrainingError(f"{algorithm} requires both classes in the training data")
     return X, y
 
@@ -101,21 +111,7 @@ def _validate_training_input(algorithm, X, y):
 def fit(algorithm: str, X, y, params=None, seed: int = 0, **overrides) -> TrainedModel:
     p = resolve_params(algorithm, params, **overrides)
     X, y = _validate_training_input(algorithm, X, y)
-    meta: dict = {}
-    if algorithm == "LR":
-        state, meta = linear.fit_lr(X, y, p, seed)
-    elif algorithm == "DT":
-        state = trees.fit_dt(X, y, p, seed)
-    elif algorithm == "RF":
-        state = trees.fit_rf(X, y, p, seed)
-    elif algorithm == "KNN":
-        state = neighbors.fit_knn(X, y, p, seed)
-    elif algorithm == "MLP":
-        state, meta = neural.fit_mlp(X, y, p, seed)
-    elif algorithm == "SVC":
-        state, meta = svm.fit_svc(X, y, p, seed)
-    else:
-        state, meta = boosting.fit_gbt(X, y, p, seed)
+    state, meta = FAMILIES[algorithm].fit(X, y, p, seed)
     return TrainedModel(algorithm, dataclasses.asdict(p), seed, state, meta)
 
 
@@ -125,20 +121,7 @@ def predict_scores(model: TrainedModel, X) -> np.ndarray:
         raise TrainingError(
             f"feature dimension {X.shape[1] if X.ndim == 2 else '?'} does not match "
             f"the {model.n_features} the model was trained on")
-    if model.algorithm == "LR":
-        scores = linear.predict_lr(model.state, X)
-    elif model.algorithm == "DT":
-        scores = trees.predict_dt(model.state, X)
-    elif model.algorithm == "RF":
-        scores = trees.predict_rf(model.state, X)
-    elif model.algorithm == "KNN":
-        scores = neighbors.predict_knn(model.state, X)
-    elif model.algorithm == "MLP":
-        scores = neural.predict_mlp(model.state, X)
-    elif model.algorithm == "SVC":
-        scores = svm.predict_svc(model.state, X)
-    else:
-        scores = boosting.predict_gbt(model.state, X)
+    scores = FAMILIES[model.algorithm].predict(model.state, X)
     return np.clip(scores, 0.0, 1.0)
 
 
@@ -154,52 +137,33 @@ def predict_labels(scores, threshold: float = 0.5) -> np.ndarray:
 # serialization
 # ---------------------------------------------------------------------------
 
-def _arr(a):
-    return np.asarray(a).tolist()
+def _encode(value):
+    if isinstance(value, TreeNode):
+        return value.to_dict()
+    if isinstance(value, list):
+        return [_encode(v) for v in value]
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    return value
 
 
-def _state_to_dict(model: TrainedModel) -> dict:
-    s = model.state
-    if isinstance(s, LRState):
-        return {"weights": _arr(s.weights), "bias": s.bias}
-    if isinstance(s, DTState):
-        return {"tree": s.tree.to_dict(), "n_features": s.n_features}
-    if isinstance(s, RFState):
-        return {"forest": [t.to_dict() for t in s.forest], "n_features": s.n_features}
-    if isinstance(s, KNNState):
-        return {"X": _arr(s.X), "y": _arr(s.y), "k": s.k}
-    if isinstance(s, MLPState):
-        return {"W1": _arr(s.W1), "b1": _arr(s.b1), "W2": _arr(s.W2), "b2": s.b2}
-    if isinstance(s, SVCState):
-        return {"support_X": _arr(s.support_X), "dual_coef": _arr(s.dual_coef),
-                "bias": s.bias, "gamma": s.gamma}
-    if isinstance(s, GBTState):
-        return {"forest": [t.to_dict() for t in s.forest],
-                "base_margin": s.base_margin, "n_features": s.n_features}
-    raise TrainingError("unknown model state")
+def _decode(kind, value):
+    if kind is np.ndarray:
+        return np.array(value, dtype=np.float64)
+    if kind is TreeNode:
+        return TreeNode.from_dict(value)
+    if kind == list[TreeNode]:
+        return [TreeNode.from_dict(v) for v in value]
+    return kind(value)
 
 
-def _state_from_dict(algorithm: str, d: dict):
-    if algorithm == "LR":
-        return LRState(np.array(d["weights"], dtype=np.float64), float(d["bias"]))
-    if algorithm == "DT":
-        return DTState(TreeNode.from_dict(d["tree"]), int(d["n_features"]))
-    if algorithm == "RF":
-        return RFState([TreeNode.from_dict(t) for t in d["forest"]], int(d["n_features"]))
-    if algorithm == "KNN":
-        return KNNState(np.array(d["X"], dtype=np.float64),
-                        np.array(d["y"], dtype=np.float64), int(d["k"]))
-    if algorithm == "MLP":
-        return MLPState(np.array(d["W1"], dtype=np.float64), np.array(d["b1"], dtype=np.float64),
-                        np.array(d["W2"], dtype=np.float64), float(d["b2"]))
-    if algorithm == "SVC":
-        return SVCState(np.array(d["support_X"], dtype=np.float64),
-                        np.array(d["dual_coef"], dtype=np.float64),
-                        float(d["bias"]), float(d["gamma"]))
-    if algorithm == "GBT":
-        return GBTState([TreeNode.from_dict(t) for t in d["forest"]],
-                        float(d["base_margin"]), int(d["n_features"]))
-    raise TrainingError(f"unknown algorithm {algorithm!r}")
+def _state_to_dict(state) -> dict:
+    return {f.name: _encode(getattr(state, f.name)) for f in dataclasses.fields(state)}
+
+
+def _state_from_dict(cls, d: dict):
+    kinds = typing.get_type_hints(cls)
+    return cls(**{f.name: _decode(kinds[f.name], d[f.name]) for f in dataclasses.fields(cls)})
 
 
 def model_to_dict(model: TrainedModel) -> dict:
@@ -208,7 +172,7 @@ def model_to_dict(model: TrainedModel) -> dict:
         "algorithm": model.algorithm,
         "hyperparams": model.hyperparams,
         "seed": model.seed,
-        "state": _state_to_dict(model),
+        "state": _state_to_dict(model.state),
         "meta": {k: v for k, v in model.meta.items() if k != "loss_curve"},
     }
 
@@ -218,7 +182,7 @@ def model_from_dict(d: dict) -> TrainedModel:
         raise TrainingError(f"unsupported model format {d.get('format_version')!r}")
     algorithm = d["algorithm"]
     return TrainedModel(algorithm, d["hyperparams"], d["seed"],
-                        _state_from_dict(algorithm, d["state"]), dict(d["meta"]))
+                        _state_from_dict(_family(algorithm).state, d["state"]), dict(d["meta"]))
 
 
 def save_model(path, model: TrainedModel) -> None:

@@ -144,8 +144,9 @@ def fit_gbt(X, y, params: GBTParams, seed: int):
         forest.append(tree)
         loss = float(log_loss_terms(margin, y).mean())
         # second-order steps with a small learning rate never increase the loss
-        assert params.learning_rate > 0.3 or loss <= curve[-1] + 1e-9 * max(1.0, abs(curve[-1])), \
-            "boosting loss increased"
+        bound = curve[-1] + 1e-9 * max(1.0, abs(curve[-1]))
+        if params.learning_rate <= 0.3 and not loss <= bound:  # NaN fails too
+            raise TrainingError(f"boosting loss increased from {curve[-1]!r} to {loss!r}")
         curve.append(loss)
     state = GBTState(forest, 0.0, p)
     meta = {"n_iter": len(forest), "final_loss": curve[-1], "loss_curve": curve}

@@ -35,6 +35,10 @@ class LRState:
     weights: np.ndarray
     bias: float
 
+    @property
+    def n_features(self) -> int:
+        return len(self.weights)
+
 
 def lr_loss_grad(w, b, X, y, lam):
     """Mean logistic loss + (lam / 2n)||w||^2 and its exact gradient."""

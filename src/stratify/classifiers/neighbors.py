@@ -33,13 +33,17 @@ class KNNState:
     y: np.ndarray
     k: int
 
+    @property
+    def n_features(self) -> int:
+        return self.X.shape[1]
 
-def fit_knn(X, y, params: KNNParams, seed: int) -> KNNState:
+
+def fit_knn(X, y, params: KNNParams, seed: int):
     if params.leaf_size != 30:
         log.info("leaf_size=%d accepted but ignored (brute-force neighbor search)",
                  params.leaf_size)
     k = min(params.n_neighbors, X.shape[0])
-    return KNNState(X.copy(), y.copy(), k)
+    return KNNState(X.copy(), y.copy(), k), {}
 
 
 def predict_knn(state: KNNState, X, chunk: int = 512) -> np.ndarray:

@@ -38,6 +38,10 @@ class MLPState:
     W2: np.ndarray
     b2: float
 
+    @property
+    def n_features(self) -> int:
+        return self.W1.shape[0]
+
 
 def init_mlp(n_features: int, hidden: int, rng) -> MLPState:
     # Glorot-uniform bounds keep tanh units in their active range at the start

@@ -40,6 +40,10 @@ class SVCState:
     bias: float
     gamma: float
 
+    @property
+    def n_features(self) -> int:
+        return self.support_X.shape[1]
+
 
 def _resolve_gamma(X, gamma):
     if gamma == "scale":

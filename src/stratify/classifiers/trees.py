@@ -196,11 +196,11 @@ class DTState:
         return 0.0
 
 
-def fit_dt(X, y, params: DTParams, seed: int) -> DTState:
+def fit_dt(X, y, params: DTParams, seed: int):
     tree = build_cart(X, y, max_depth=params.max_depth, min_split=params.min_split,
                       min_leaf=params.min_leaf)
     tree.validate()
-    return DTState(tree, X.shape[1])
+    return DTState(tree, X.shape[1]), {}
 
 
 def predict_dt(state: DTState, X) -> np.ndarray:
@@ -243,7 +243,7 @@ class RFState:
         return 0.0
 
 
-def fit_rf(X, y, params: RFParams, seed: int) -> RFState:
+def fit_rf(X, y, params: RFParams, seed: int):
     """Bagged CART trees; the forest score is the mean of the tree scores."""
     n = X.shape[0]
     forest = []
@@ -259,7 +259,7 @@ def fit_rf(X, y, params: RFParams, seed: int) -> RFState:
                           max_features=params.feature_subsample, rng=rng)
         tree.validate()
         forest.append(tree)
-    return RFState(forest, X.shape[1])
+    return RFState(forest, X.shape[1]), {}
 
 
 def predict_rf(state: RFState, X) -> np.ndarray:

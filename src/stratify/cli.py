@@ -14,6 +14,7 @@ degenerate statistics (e.g. a single-class pattern).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -22,24 +23,13 @@ import traceback
 
 import numpy as np
 
-from . import __version__, classifiers as clf, clustering, explain as explain_mod
+from . import __version__, classifiers as clf, explain as explain_mod
 from . import dataset as ds_mod
 from . import pipeline, reports, synthcohort
 from .errors import DataError, DegenerateStatistics, StratifyError
 from .rng import derive_rng, derive_seed
 
 EXIT_OK, EXIT_INTERNAL, EXIT_INVALID, EXIT_DEGENERATE = 0, 1, 2, 3
-
-
-def _threads(args) -> int:
-    # accepted for interface stability and recorded in the manifest; the
-    # numpy-based internals currently run single-process regardless
-    env = os.environ.get("STRATIFY_THREADS")
-    if args.threads is not None:
-        return args.threads
-    if env is not None:
-        return int(env)
-    return 1
 
 
 def _load_dataset(args):
@@ -58,8 +48,8 @@ def cmd_synth(args) -> int:
     sample = synthcohort.generate(spec, args.n, args.seed)
     rundir = reports.RunDirectory(args.out)
     synthcohort.save_cohort_csv(rundir.path("synth_cohort.csv"), sample)
-    rundir.write_manifest("synth", {"n": args.n, "profile": args.profile, "spec": args.spec,
-                                    "threads": _threads(args)}, args.seed, started)
+    rundir.write_manifest("synth", {"n": args.n, "profile": args.profile, "spec": args.spec},
+                          args.seed, started)
     print(f"wrote {rundir.root / 'synth_cohort.csv'} ({sample.raw.n_rows} rows, "
           f"{len(spec.patterns)} patterns)")
     if sample.empty_patterns:
@@ -77,8 +67,7 @@ def cmd_ingest(args) -> int:
     ds_mod.save_dataset_csv(rundir.path("clean.csv"), dataset)
     ds_mod.save_preprocess_sidecar(rundir.path("preprocess.json"), encoder, None)
     reports.write_json(rundir.path("schema.json"), schema.to_dict())
-    rundir.write_manifest("ingest", {"data": str(args.data), "threads": _threads(args)},
-                          args.seed, started)
+    rundir.write_manifest("ingest", {"data": str(args.data)}, args.seed, started)
     print(f"kept {stats.kept} rows; dropped {stats.dropped} "
           f"(missing {stats.dropped_missing}, flagged {stats.dropped_flagged}, "
           f"inconsistent {stats.dropped_inconsistent})")
@@ -87,21 +76,11 @@ def cmd_ingest(args) -> int:
 
 def cmd_cluster(args) -> int:
     started = time.time()
-    dataset, schema = _load_dataset(args)
-    norm = ds_mod.fit_normalizer(dataset)
-    Xn = ds_mod.apply_normalizer(norm, dataset).X
+    cfg = pipeline.RunConfig(seed=args.seed, k_range=(args.k_min, args.k_max),
+                             k_fixed=args.k_fixed, kmeans_restarts=args.restarts)
+    dataset, _ = _load_dataset(args)
     rundir = reports.RunDirectory(args.out)
-    if args.k_fixed:
-        model = clustering.kmeans_fit(Xn, args.k_fixed, derive_seed(args.seed, "stage1"),
-                                      args.restarts)
-        kselect = None
-    else:
-        kselect, models = clustering.select_k(Xn, (args.k_min, args.k_max),
-                                              seed=derive_seed(args.seed, "stage1"),
-                                              n_restarts=args.restarts)
-        model = models[kselect.winner]
-    assignment = clustering.assign_patterns(model, Xn)
-    model, assignment = clustering.sort_patterns_by_size(model, assignment)
+    _, assignment, kselect = pipeline.stage1(dataset, cfg)
     reports.write_patterns_csv(rundir, assignment)
     if kselect is not None:
         reports.write_kselect_json(rundir, kselect)
@@ -110,21 +89,15 @@ def cmd_cluster(args) -> int:
         print(f"fixed K={args.k_fixed}")
     print(f"cluster sizes: {assignment.sizes.tolist()}")
     rundir.write_manifest("cluster", {"data": str(args.data), "k_fixed": args.k_fixed,
-                                      "k_range": [args.k_min, args.k_max],
-                                      "threads": _threads(args)}, args.seed, started)
+                                      "k_range": [args.k_min, args.k_max]},
+                          args.seed, started)
     return EXIT_OK
 
 
 def _build_config(args) -> pipeline.RunConfig:
-    if args.config:
-        cfg = pipeline.RunConfig.from_json(args.config)
-    else:
-        cfg = pipeline.RunConfig()
-    if args.seed is not None:
-        cfg = pipeline.RunConfig.from_dict({**cfg.to_dict(), "seed": args.seed})
-    if args.k_fixed is not None:
-        cfg = pipeline.RunConfig.from_dict({**cfg.to_dict(), "k_fixed": args.k_fixed})
-    return cfg
+    cfg = pipeline.RunConfig.from_json(args.config) if args.config else pipeline.RunConfig()
+    overrides = {"seed": args.seed, "k_fixed": args.k_fixed}
+    return dataclasses.replace(cfg, **{k: v for k, v in overrides.items() if v is not None})
 
 
 def cmd_run(args) -> int:
@@ -228,8 +201,7 @@ def cmd_explain(args) -> int:
     reports.write_importance_csv(out.path("importance.csv"), ranking)
     reports.write_shap_csv(out.path("shap_values.csv"), explain_mod.beeswarm_export(matrix))
     out.write_manifest("explain", {"pattern": args.pattern, "n_explain": args.n_explain,
-                                   "background": args.background,
-                                   "threads": _threads(args)}, cfg.seed, started)
+                                   "background": args.background}, cfg.seed, started)
     top = [names[j] for j in ranking.order[:3]]
     print(f"pattern {args.pattern}: top features by split gain: {', '.join(top)}")
     return EXIT_OK
@@ -242,11 +214,9 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p, out_required=True):
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--threads", type=int, default=None,
-                       help="worker cap (recorded; results never depend on it)")
-        p.add_argument("--out", required=out_required, help="output directory")
+    def common(p, seed=0):
+        p.add_argument("--seed", type=int, default=seed)
+        p.add_argument("--out", required=True, help="output directory")
 
     p = sub.add_parser("synth", help="generate a synthetic cohort CSV")
     common(p)
@@ -273,7 +243,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_cluster)
 
     p = sub.add_parser("run", help="run the experimental arms and comparison")
-    common(p)
+    common(p, seed=None)  # unset: the config file's seed applies
     p.add_argument("--data", required=True, help="encoded CSV from ingest")
     p.add_argument("--schema", default=None)
     p.add_argument("--config", default=None, help="run config JSON")
@@ -283,7 +253,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("explain", help="feature attribution for one pattern of a run")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threads", type=int, default=None)
     p.add_argument("--run-dir", required=True)
     p.add_argument("--pattern", type=int, required=True)
     p.add_argument("--n-explain", type=int, default=200)

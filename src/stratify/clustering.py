@@ -146,7 +146,8 @@ def _lloyd(X, centroids, max_iter, tol):
         new_labels = d2.argmin(axis=1)  # argmin takes the lowest index on ties
         cost = float(d2[np.arange(n), new_labels].sum())
         # Lloyd monotonicity: each assignment step can only lower the cost
-        assert cost <= prev_cost + 1e-8 * max(1.0, abs(prev_cost)), "inertia increased"
+        if not cost <= prev_cost + 1e-8 * max(1.0, abs(prev_cost)):  # NaN fails too
+            raise ClusteringError(f"Lloyd inertia increased from {prev_cost!r} to {cost!r}")
         prev_cost = cost
         if np.array_equal(new_labels, labels):
             return labels, centroids, cost, it

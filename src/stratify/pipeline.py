@@ -15,7 +15,7 @@ the pooled arm.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -63,8 +63,16 @@ DEFAULT_DIRECT_HPARAMS = {
 COMPARISON_METRICS = ("accuracy", "precision", "recall", "f1", "auc")
 
 
+def _location(f) -> tuple:
+    # (group, key) of a RunConfig field in the JSON document; group None is top level
+    return f.metadata.get("json", (None, f.name))
+
+
 @dataclass
 class RunConfig:
+    """The fields and their defaults define the JSON document: each field is a
+    top-level key of its name, unless its metadata places it in a group."""
+
     seed: int = 0
     split_ratio: float = 0.7
     k_range: tuple = (2, 8)
@@ -73,13 +81,13 @@ class RunConfig:
     algorithms: tuple = clf.ALGORITHMS
     pattern_hparams: tuple = DEFAULT_PATTERN_HPARAMS
     direct_hparams: dict = field(default_factory=lambda: dict(DEFAULT_DIRECT_HPARAMS))
-    smote_enabled: bool = True
-    smote_k: int = 5
-    smote_ratio: float = 1.0
+    smote_enabled: bool = field(default=True, metadata={"json": ("smote", "enabled")})
+    smote_k: int = field(default=5, metadata={"json": ("smote", "k_neighbors")})
+    smote_ratio: float = field(default=1.0, metadata={"json": ("smote", "target_ratio")})
     bootstrap_b: int = 1000
-    kmeans_restarts: int = 10
-    kmeans_max_iter: int = 300
-    kmeans_tol: float = 1e-6
+    kmeans_restarts: int = field(default=10, metadata={"json": ("kmeans", "restarts")})
+    kmeans_max_iter: int = field(default=300, metadata={"json": ("kmeans", "max_iter")})
+    kmeans_tol: float = field(default=1e-6, metadata={"json": ("kmeans", "tol")})
     index_sample_cap: int = 2048
     threshold: float = 0.5
 
@@ -97,44 +105,28 @@ class RunConfig:
         return self.pattern_hparams[min(pattern_id, len(self.pattern_hparams) - 1)]
 
     def to_dict(self) -> dict:
-        return {
-            "seed": self.seed, "split_ratio": self.split_ratio,
-            "k_range": list(self.k_range), "k_fixed": self.k_fixed,
-            "index_set": list(self.index_set), "algorithms": list(self.algorithms),
-            "pattern_hparams": [dict(h) for h in self.pattern_hparams],
-            "direct_hparams": dict(self.direct_hparams),
-            "smote": {"enabled": self.smote_enabled, "k_neighbors": self.smote_k,
-                      "target_ratio": self.smote_ratio},
-            "bootstrap_b": self.bootstrap_b,
-            "kmeans": {"restarts": self.kmeans_restarts, "max_iter": self.kmeans_max_iter,
-                       "tol": self.kmeans_tol},
-            "index_sample_cap": self.index_sample_cap,
-            "threshold": self.threshold,
-        }
+        out: dict = {}
+        for f in fields(self):
+            group, key = _location(f)
+            # through JSON, so tuples become lists and nested dicts are copies
+            value = json.loads(json.dumps(getattr(self, f.name)))
+            (out.setdefault(group, {}) if group else out)[key] = value
+        return out
 
     @classmethod
     def from_dict(cls, d: dict) -> "RunConfig":
-        smote_cfg = d.get("smote", {})
-        kmeans_cfg = d.get("kmeans", {})
-        return cls(
-            seed=d.get("seed", 0),
-            split_ratio=d.get("split_ratio", 0.7),
-            k_range=tuple(d.get("k_range", (2, 8))),
-            k_fixed=d.get("k_fixed"),
-            index_set=tuple(d.get("index_set", clustering.ALL_INDICES)),
-            algorithms=tuple(d.get("algorithms", clf.ALGORITHMS)),
-            pattern_hparams=tuple(d.get("pattern_hparams", DEFAULT_PATTERN_HPARAMS)),
-            direct_hparams=dict(d.get("direct_hparams", DEFAULT_DIRECT_HPARAMS)),
-            smote_enabled=smote_cfg.get("enabled", True),
-            smote_k=smote_cfg.get("k_neighbors", 5),
-            smote_ratio=smote_cfg.get("target_ratio", 1.0),
-            bootstrap_b=d.get("bootstrap_b", 1000),
-            kmeans_restarts=kmeans_cfg.get("restarts", 10),
-            kmeans_max_iter=kmeans_cfg.get("max_iter", 300),
-            kmeans_tol=kmeans_cfg.get("tol", 1e-6),
-            index_sample_cap=d.get("index_sample_cap", 2048),
-            threshold=d.get("threshold", 0.5),
-        )
+        groups = {_location(f)[0] for f in fields(cls)} - {None}
+        given = {(g, k): v for g in groups for k, v in d.get(g, {}).items()}
+        given.update({(None, k): v for k, v in d.items() if k not in groups})
+        kwargs = {}
+        for f in fields(cls):
+            if _location(f) in given:
+                value = given.pop(_location(f))
+                kwargs[f.name] = tuple(value) if isinstance(f.default, tuple) else value
+        if given:
+            names = sorted(".".join(filter(None, loc)) for loc in given)
+            raise ConfigError(f"unknown config keys: {names}")
+        return cls(**kwargs)
 
     @classmethod
     def from_json(cls, path) -> "RunConfig":

@@ -238,6 +238,17 @@ def test_gbt_loss_monotone_and_curve_recorded(rng):
     assert all(b <= a + 1e-12 for a, b in zip(curve, curve[1:]))
 
 
+def test_gbt_loss_increase_raises_training_error(rng, monkeypatch):
+    # a real check, not an assert, so it survives python -O
+    real = boosting.log_loss_terms
+    calls = iter(range(1000))
+    monkeypatch.setattr(boosting, "log_loss_terms", lambda z, y: real(z, y) + next(calls))
+    X = rng.normal(size=(40, 2))
+    y = (X[:, 0] > 0).astype(int)
+    with pytest.raises(TrainingError, match="boosting loss increased"):
+        clf.fit("GBT", X, y, {"n_trees": 5, "max_depth": 2}, seed=0)
+
+
 def test_gbt_split_gain_positive_requirement(rng):
     X = np.zeros((10, 2))
     y = np.array([0, 1] * 5)
@@ -281,6 +292,9 @@ def test_model_serialization_roundtrip_bit_exact(tmp_path, rng):
         back = clf.load_model(path)
         assert back.algorithm == m.algorithm
         assert clf.predict_scores(back, Xq).tobytes() == clf.predict_scores(m, Xq).tobytes()
+        again = tmp_path / f"{alg}_again.json"
+        clf.save_model(again, back)
+        assert again.read_bytes() == path.read_bytes()
 
 
 def test_resolve_params_rejects_unknown_keys():

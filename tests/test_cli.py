@@ -113,6 +113,34 @@ def test_rerun_reproduces_checksums(workspace, run_dir):
     assert m_a["artifacts"] == m_b["artifacts"]
 
 
+def test_config_seed_applies_without_seed_flag(workspace, run_dir, tmp_path):
+    manifest = json.loads((run_dir / "a" / "manifest.json").read_text())
+    assert manifest["seed"] == manifest["config"]["seed"] == 5
+    assert json.loads((run_dir / "a" / "run_state.json").read_text())["config"]["seed"] == 5
+    out = tmp_path / "flag"
+    assert run_cli("run", "--data", workspace / "ingest" / "clean.csv", "--config",
+                   run_dir / "config.json", "--arm", "direct", "--seed", 7, "--out", out) == 0
+    assert json.loads((out / "run_state.json").read_text())["config"]["seed"] == 7
+
+
+@pytest.mark.parametrize("k_args", [("--k-fixed", 2), ("--k-max", 4)])
+def test_cluster_and_run_share_stage1(workspace, tmp_path, k_args):
+    clean = workspace / "ingest" / "clean.csv"
+    assert run_cli("cluster", "--data", clean, "--seed", 4, "--restarts", 3, *k_args,
+                   "--out", tmp_path / "cluster") == 0
+    cfg = {"algorithms": ["DT"], "bootstrap_b": 0, "kmeans": {"restarts": 3}}
+    cfg.update({"k_fixed": 2} if k_args[0] == "--k-fixed" else {"k_range": [2, 4]})
+    (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+    assert run_cli("run", "--data", clean, "--config", tmp_path / "cfg.json", "--arm", "direct",
+                   "--seed", 4, "--out", tmp_path / "run") == 0
+    for rel in ("patterns.csv", "kselect.json"):
+        cluster_out, run_out = tmp_path / "cluster" / rel, tmp_path / "run" / rel
+        assert cluster_out.exists() == run_out.exists()
+        if cluster_out.exists():
+            assert cluster_out.read_bytes() == run_out.read_bytes()
+    assert (tmp_path / "run" / "patterns.csv").exists()
+
+
 def test_explain_outputs(run_dir):
     assert run_cli("explain", "--run-dir", run_dir / "a", "--pattern", 0,
                    "--n-explain", 12, "--background", 20) == 0

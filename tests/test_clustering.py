@@ -37,6 +37,17 @@ def test_kmeans_errors():
         cl.kmeans_fit(np.array([[np.nan, 0.0]]), 1, seed=0)
 
 
+def test_lloyd_inertia_increase_raises_clustering_error(rng, monkeypatch):
+    # a real check, not an assert, so it survives python -O; scaling every
+    # distance up on each call keeps the labels but makes the cost grow
+    real = cl._sq_dists
+    calls = iter(range(1, 1000))
+    monkeypatch.setattr(cl, "_sq_dists", lambda X, C: real(X, C) * 10.0 ** next(calls))
+    X = rng.normal(size=(60, 2))
+    with pytest.raises(ClusteringError, match="inertia increased"):
+        cl._lloyd(X, X[:3].copy(), 50, 1e-6)
+
+
 def test_kmeans_deterministic(rng):
     X = rng.normal(size=(50, 4))
     a = cl.kmeans_fit(X, 3, seed=9)

@@ -5,7 +5,7 @@ import pytest
 
 from stratify import pipeline as pl
 from stratify import synthcohort as sc
-from stratify.errors import EvaluationError
+from stratify.errors import ConfigError, EvaluationError
 from stratify.evaluation import ConfusionMatrix
 
 from conftest import make_dataset
@@ -229,3 +229,27 @@ def test_config_json_roundtrip(tmp_path):
         json.dump(cfg.to_dict(), fh)
     back = pl.RunConfig.from_json(path)
     assert back.to_dict() == cfg.to_dict()
+
+
+def test_config_rejects_unknown_keys():
+    with pytest.raises(ConfigError, match="bootstrap"):
+        pl.RunConfig.from_dict({"bootstrap": 10})
+    with pytest.raises(ConfigError, match="kmeans.restart"):
+        pl.RunConfig.from_dict({"kmeans": {"restart": 3}})
+    assert pl.RunConfig.from_dict({"kmeans": {"restarts": 3}}).kmeans_max_iter == 300
+
+
+def test_docs_config_matches_defaults():
+    import json
+    import re
+    from pathlib import Path
+
+    from stratify.classifiers import FAMILIES
+
+    doc = (Path(__file__).parent.parent / "docs" / "config.md").read_text()
+    block = re.search(r"```json\n(.*?)```", doc, re.S).group(1)
+    assert json.loads(block) == pl.RunConfig().to_dict()
+    rows = dict(re.findall(r"^\| (\w+) +\| (.*) \|$", doc, re.M))
+    for alg, family in FAMILIES.items():
+        documented = {k: json.loads(v) for k, v in re.findall(r"`(\w+)` \(([^,)\s]+)", rows[alg])}
+        assert documented == dataclasses.asdict(family.params()), alg
