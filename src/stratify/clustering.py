@@ -107,10 +107,15 @@ def _check_matrix(X) -> np.ndarray:
     return X
 
 
-def _sq_dists(X, C):
-    # ||x||^2 - 2 x.c + ||c||^2, clipped against float cancellation
-    d2 = (X * X).sum(1)[:, None] - 2.0 * (X @ C.T) + (C * C).sum(1)[None, :]
-    return np.maximum(d2, 0.0)
+def _sq_dists(X, C, xx=None):
+    # ||x||^2 - 2 x.c + ||c||^2, clipped against float cancellation; xx, the
+    # precomputed (X * X).sum(1), saves that pass when X is reused. In place,
+    # which rounds the same as the three-term expression.
+    d2 = X @ C.T
+    d2 *= -2.0
+    d2 += ((X * X).sum(1) if xx is None else xx)[:, None]
+    d2 += (C * C).sum(1)[None, :]
+    return np.maximum(d2, 0.0, out=d2)
 
 
 def _kmeanspp(X, k, rng, n_candidates: int = 10, first_idx: int | None = None):
@@ -119,7 +124,8 @@ def _kmeanspp(X, k, rng, n_candidates: int = 10, first_idx: int | None = None):
     n = X.shape[0]
     centroids = np.empty((k, X.shape[1]))
     centroids[0] = X[rng.integers(n) if first_idx is None else first_idx]
-    d2 = _sq_dists(X, centroids[:1]).ravel()
+    xx = (X * X).sum(1)
+    d2 = _sq_dists(X, centroids[:1], xx).ravel()
     for j in range(1, k):
         total = d2.sum()
         if total <= 0:
@@ -128,7 +134,7 @@ def _kmeanspp(X, k, rng, n_candidates: int = 10, first_idx: int | None = None):
             cands = rng.choice(n, size=n_candidates, p=d2 / total)
         best_i, best_pot, best_d2 = None, np.inf, None
         for i in np.unique(cands):
-            cand_d2 = np.minimum(d2, _sq_dists(X, X[int(i)][None, :]).ravel())
+            cand_d2 = np.minimum(d2, _sq_dists(X, X[int(i)][None, :], xx).ravel())
             pot = cand_d2.sum()
             if pot < best_pot:
                 best_i, best_pot, best_d2 = int(i), pot, cand_d2
@@ -141,8 +147,9 @@ def _lloyd(X, centroids, max_iter, tol):
     n, k = X.shape[0], centroids.shape[0]
     labels = np.full(n, -1)
     prev_cost = np.inf
+    xx = (X * X).sum(1)
     for it in range(1, max_iter + 1):
-        d2 = _sq_dists(X, centroids)
+        d2 = _sq_dists(X, centroids, xx)
         new_labels = d2.argmin(axis=1)  # argmin takes the lowest index on ties
         cost = float(d2[np.arange(n), new_labels].sum())
         # Lloyd monotonicity: each assignment step can only lower the cost
@@ -168,11 +175,11 @@ def _lloyd(X, centroids, max_iter, tol):
         shift = np.sqrt(((new_centroids - centroids) ** 2).sum(axis=1)).max()
         centroids = new_centroids
         if shift < tol and not len(empties):
-            d2 = _sq_dists(X, centroids)
+            d2 = _sq_dists(X, centroids, xx)
             labels = d2.argmin(axis=1)
             cost = float(d2[np.arange(n), labels].sum())
             return labels, centroids, cost, it
-    d2 = _sq_dists(X, centroids)
+    d2 = _sq_dists(X, centroids, xx)
     labels = d2.argmin(axis=1)
     cost = float(d2[np.arange(n), labels].sum())
     return labels, centroids, cost, max_iter
