@@ -6,20 +6,22 @@ and splits maximize the standard regularized gain
 
     1/2 * (GL^2/(HL+lambda) + GR^2/(HR+lambda) - (GL+GR)^2/(HL+HR+lambda)) - gamma.
 
-Split search is exact greedy over presorted feature columns (sorted index lists
-are partitioned down the tree, so no per-node re-sorting). Leaf values are
-stored pre-scaled by the learning rate; the ensemble margin is their sum.
+Trees come from the exact greedy grower shared with CART
+(``trees.grow_tree``): presorted columns, candidate thresholds a <= thr < b
+between consecutive distinct values, and the gain above scored from prefix
+sums of g and h. Leaf values are stored pre-scaled by the learning rate; the
+ensemble margin is their sum.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from ..errors import TrainingError
 from .linear import log_loss_terms, sigmoid
-from .trees import TreeNode, tree_predict
+from .trees import TreeNode, grow_tree, presort, tree_predict
 
 
 @dataclass
@@ -69,86 +71,19 @@ def split_gain(GL, HL, GR, HR, lam, gamma):
                   - (GL + GR) ** 2 / (HL + HR + lam)) - gamma
 
 
-def _grow_tree(cols, g, h, orders, params: GBTParams):
-    lam, gamma_, eta = params.reg_lambda, params.reg_gamma, params.learning_rate
-    mcw, min_leaf = params.min_child_weight, params.min_leaf
-    p, n = len(cols), len(g)
-    in_left = np.zeros(n, dtype=bool)
-    root = TreeNode()
-    leaf_rows = []
-    # a feature constant on a node stays constant below it, so its list is
-    # dropped (None) there; feature 0's list is kept as the node's rows
-    stack = [(root, list(orders), 0)]
-    while stack:
-        node, lists, depth = stack.pop()
-        rows = lists[0]
-        G, H = float(g[rows].sum()), float(h[rows].sum())
-        m = len(rows)
-        node.n_samples = m
-        node.value = eta * (-G / max(H + lam, 1e-16))
-        if depth >= params.max_depth or m < 2 * min_leaf or m < 2:
-            leaf_rows.append((node, rows))
-            continue
-        # a split after sorted position i leaves i + 1 rows on the left; only
-        # positions in [lo, hi) keep min_leaf rows on both sides
-        lo, hi = max(min_leaf - 1, 0), min(m - min_leaf, m - 1)
-        best = None
-        best_gain = 1e-12
-        for j in range(p):
-            sid = lists[j]
-            if sid is None:
-                continue
-            xv = cols[j][sid]
-            if j and xv[0] == xv[-1]:
-                lists[j] = None
-                continue
-            # candidates sit between distinct values only
-            cand = np.flatnonzero(xv[lo:hi] < xv[lo + 1:hi + 1]) + lo
-            if not len(cand):
-                continue
-            GL = np.cumsum(g[sid[:hi]])[cand]
-            HL = np.cumsum(h[sid[:hi]])[cand]
-            ok = (HL >= mcw) & (H - HL >= mcw)
-            if not ok.all():
-                cand, GL, HL = cand[ok], GL[ok], HL[ok]
-                if not len(cand):
-                    continue
-            gains = split_gain(GL, HL, G - GL, H - HL, lam, gamma_)
-            c = int(np.argmax(gains))
-            if gains[c] > best_gain:
-                best_gain = float(gains[c])
-                best = (j, int(cand[c]))
-        if best is None:
-            leaf_rows.append((node, rows))
-            continue
-        j, i = best
-        sid = lists[j]
-        node.feature = j
-        node.threshold = float((cols[j][sid[i]] + cols[j][sid[i + 1]]) / 2.0)
-        node.gain = best_gain
-        in_left[sid[:i + 1]] = True
-        left_lists, right_lists = [], []
-        for lst in lists:
-            if lst is None:
-                left_lists.append(None)
-                right_lists.append(None)
-                continue
-            goes_left = in_left[lst]
-            left_lists.append(lst[goes_left])
-            right_lists.append(lst[~goes_left])
-        in_left[sid[:i + 1]] = False
-        node.left, node.right = TreeNode(), TreeNode()
-        stack.append((node.left, left_lists, depth + 1))
-        stack.append((node.right, right_lists, depth + 1))
-    return root, leaf_rows
-
-
 def fit_gbt(X, y, params: GBTParams, seed: int):
     n, p = X.shape
     y = np.asarray(y, dtype=np.float64)
     rounds = min(params.n_trees, params.max_iterations)
-    cols = [np.ascontiguousarray(X[:, j]) for j in range(p)]
-    orders = [np.argsort(col, kind="stable") for col in cols]
+    cols, orders = presort(X)
+    lam, gamma_, eta = params.reg_lambda, params.reg_gamma, params.learning_rate
+
+    def gain(GL, HL, G, H):
+        return split_gain(GL, HL, G - GL, H - HL, lam, gamma_)
+
+    def leaf_value(G, H):
+        return eta * (-G / max(H + lam, 1e-16))
+
     margin = np.full(n, 0.0)
     curve = [float(log_loss_terms(margin, y).mean())]
     forest = []
@@ -156,7 +91,9 @@ def fit_gbt(X, y, params: GBTParams, seed: int):
         prob = sigmoid(margin)
         g = prob - y
         h = prob * (1.0 - prob)
-        tree, leaf_rows = _grow_tree(cols, g, h, orders, params)
+        tree, leaf_rows = grow_tree(cols, orders, g, h, gain, leaf_value,
+                                    max_depth=params.max_depth, min_leaf=params.min_leaf,
+                                    min_child_weight=params.min_child_weight)
         tree.validate()
         if all(lr_node.value == 0.0 for lr_node, _ in leaf_rows):
             break  # nothing left to fit

@@ -99,7 +99,8 @@ def fit_svc(X, y01, params: SVCParams, seed: int):
                 L, H = max(0.0, ai_old + aj_old - C), min(C, ai_old + aj_old)
             if L >= H:
                 continue
-            Kij = col(i)[j]
+            col_i = col(i)
+            Kij = col_i[j]
             eta = 2.0 * Kij - 2.0  # K_ii = K_jj = 1 for RBF
             if eta >= 0:
                 continue
@@ -117,7 +118,7 @@ def fit_svc(X, y01, params: SVCParams, seed: int):
                 b = b2
             else:
                 b = (b1 + b2) / 2.0
-            f += y[i] * d_i * col(i) + y[j] * d_j * col(j)
+            f += y[i] * d_i * col_i + y[j] * d_j * col(j)
             alphas[i], alphas[j] = ai, aj
             changed += 1
         sweeps += 1

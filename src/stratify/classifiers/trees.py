@@ -1,14 +1,23 @@
-"""CART trees on the Gini criterion, plus the bagged forest built from them.
+"""The one exact greedy tree grower, and the CART trees and forest built on it.
 
-Leaf scores are positive-class fractions, so single trees and forests slot
-straight into the shared predict-scores contract. Split search scans midpoints
-of consecutive distinct sorted feature values and keeps the split with the
-largest impurity decrease (first feature / lowest threshold on ties).
+``grow_tree`` serves DT, RF and GBT (``boosting.py``). Each feature column is
+argsorted once per fit (per bootstrap sample for RF), and the sorted index
+lists are partitioned down the tree, so no node sorts again. A node's
+candidate splits sit between consecutive distinct sorted values; each is
+scored from prefix sums of per-row statistics g and h by the caller's gain
+function, and the split with the largest gain wins (first feature / lowest
+threshold on ties). The threshold between neighbours a < b is their midpoint,
+or a where the midpoint rounds up to b, so a <= thr < b always holds and
+``x <= thr`` sends every row to the side the search put it on.
+
+CART uses g = y and h = 1: the gain is the Gini impurity decrease and a leaf
+holds its positive-class fraction G/H, so single trees and forests slot
+straight into the shared predict-scores contract.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -70,80 +79,131 @@ def gini_impurity(counts) -> float:
     return 1.0 - p0 * p0 - p1 * p1
 
 
-def best_split(X, y, feature_ids, min_leaf: int = 1):
-    """Best (feature, threshold, impurity decrease) over candidate features.
+def gini_decrease(GL, HL, G, H):
+    """Parent Gini minus the size-weighted child Gini, with g = y and h = 1.
 
-    Thresholds are midpoints between consecutive distinct sorted values; the
-    decrease is parent Gini minus the size-weighted child Gini. Returns None
-    when no candidate yields a positive decrease under the min_leaf constraint.
+    G and H count the node's positives and rows; GL and HL those left of each
+    candidate split.
     """
-    y = np.asarray(y, dtype=np.float64)
-    n = len(y)
-    n_pos = y.sum()
-    parent = gini_impurity((n - n_pos, n_pos))
-    best = None
-    best_dec = 1e-12  # require strictly positive decrease
-    for j in feature_ids:
-        xs = X[:, j]
-        order = np.argsort(xs, kind="stable")
-        xv = xs[order]
-        cum_pos = np.cumsum(y[order])
-        left_n = np.arange(1, n)
-        ok = (xv[:-1] < xv[1:]) & (left_n >= min_leaf) & (n - left_n >= min_leaf)
-        if not ok.any():
-            continue
-        lp = cum_pos[:-1][ok]
-        ln = left_n[ok].astype(np.float64)
-        rp = n_pos - lp
-        rn = n - ln
-        gini_l = 1.0 - (lp / ln) ** 2 - ((ln - lp) / ln) ** 2
-        gini_r = 1.0 - (rp / rn) ** 2 - ((rn - rp) / rn) ** 2
-        dec = parent - (ln * gini_l + rn * gini_r) / n
-        i = int(np.argmax(dec))
-        if dec[i] > best_dec:
-            best_dec = float(dec[i])
-            pos = np.flatnonzero(ok)[i]
-            thr = (xv[pos] + xv[pos + 1]) / 2.0
-            best = (int(j), float(thr), best_dec)
-    return best
+    parent = gini_impurity((H - G, G))
+    GR, HR = G - GL, H - HL
+    gini_l = 1.0 - (GL / HL) ** 2 - ((HL - GL) / HL) ** 2
+    gini_r = 1.0 - (GR / HR) ** 2 - ((HR - GR) / HR) ** 2
+    return parent - (HL * gini_l + HR * gini_r) / H
 
 
-def build_cart(X, y, max_depth=None, min_split: int = 2, min_leaf: int = 1,
-               max_features=None, rng=None) -> TreeNode:
-    """Grow a CART tree (iterative, so unconstrained depth cannot blow the stack)."""
-    n, p = X.shape
-    if max_features is None:
-        n_feats = p
-    elif max_features == "sqrt":
-        n_feats = max(1, int(np.sqrt(p)))
-    else:
-        n_feats = max(1, min(int(max_features), p))
+def presort(X):
+    """Contiguous feature columns and their stable argsorts, made once per fit."""
+    cols = [np.ascontiguousarray(X[:, j]) for j in range(X.shape[1])]
+    return cols, [np.argsort(col, kind="stable") for col in cols]
+
+
+def grow_tree(cols, orders, g, h, gain, leaf_value, max_depth=None, min_split: int = 2,
+              min_leaf: int = 1, min_child_weight: float = 0.0, cart: bool = False,
+              n_feats=None, rng=None):
+    """Grow one tree by exact greedy search; returns (root, [(leaf, rows), ...]).
+
+    ``cols``/``orders`` come from ``presort``. ``gain(GL, HL, G, H)`` scores the
+    candidate splits of a node from the prefix sums of g and h left of each
+    candidate and the node totals; ``leaf_value(G, H)`` is a node's value. A node
+    stays a leaf at ``max_depth``, below ``min_split`` rows, or when no split
+    with ``min_leaf`` rows and ``min_child_weight`` of h on each side gains
+    more than 1e-12. With ``cart``, a pure node (constant g) is a leaf too and
+    a split records its gain times the node's rows. With ``n_feats`` below the
+    feature count, each node past the stop tests searches ``n_feats`` features
+    drawn from ``rng``.
+    """
+    p = len(cols)
+    in_left = np.zeros(len(g), dtype=bool)
     root = TreeNode()
-    stack = [(root, np.arange(n), 0)]
+    leaf_rows = []
+    # a feature constant on a node stays constant below it, so its list is
+    # dropped (None) there; feature 0's list is kept as the node's rows
+    stack = [(root, list(orders), 0)]
     while stack:
-        node, idx, depth = stack.pop()
-        ys = y[idx]
-        node.n_samples = len(idx)
-        node.value = float(ys.mean())
-        pure = ys.min() == ys.max()
-        if pure or len(idx) < min_split or (max_depth is not None and depth >= max_depth):
+        node, lists, depth = stack.pop()
+        rows = lists[0]
+        m = len(rows)
+        g_rows = g[rows]
+        G, H = float(g_rows.sum()), float(h[rows].sum())
+        node.n_samples = m
+        node.value = leaf_value(G, H)
+        if ((max_depth is not None and depth >= max_depth) or m < min_split
+                or (cart and g_rows.min() == g_rows.max())):
+            leaf_rows.append((node, rows))
             continue
-        if n_feats < p:
+        if n_feats is not None and n_feats < p:
             feats = np.sort(rng.choice(p, n_feats, replace=False))
         else:
-            feats = np.arange(p)
-        found = best_split(X[idx], ys, feats, min_leaf)
-        if found is None:
+            feats = range(p)
+        # a split after sorted position i leaves i + 1 rows on the left; only
+        # positions in [lo, hi) keep min_leaf rows on both sides
+        lo, hi = max(min_leaf - 1, 0), min(m - min_leaf, m - 1)
+        if lo >= hi:
+            feats = ()
+        best = None
+        best_gain = 1e-12  # require a strictly positive gain
+        for j in feats:
+            sid = lists[j]
+            if sid is None:
+                continue
+            xv = cols[j][sid]
+            if j and xv[0] == xv[-1]:
+                lists[j] = None
+                continue
+            # candidates sit between distinct values only
+            cand = np.flatnonzero(xv[lo:hi] < xv[lo + 1:hi + 1]) + lo
+            if not len(cand):
+                continue
+            GL = np.cumsum(g[sid[:hi]])[cand]
+            HL = np.cumsum(h[sid[:hi]])[cand]
+            ok = (HL >= min_child_weight) & (H - HL >= min_child_weight)
+            if not ok.all():
+                cand, GL, HL = cand[ok], GL[ok], HL[ok]
+                if not len(cand):
+                    continue
+            gains = gain(GL, HL, G, H)
+            c = int(np.argmax(gains))
+            if gains[c] > best_gain:
+                best_gain = float(gains[c])
+                best = (int(j), int(cand[c]))
+        if best is None:
+            leaf_rows.append((node, rows))
             continue
-        j, thr, dec = found
+        j, i = best
+        sid = lists[j]
+        a, b = cols[j][sid[i]], cols[j][sid[i + 1]]
+        thr = (a + b) / 2.0
         node.feature = j
-        node.threshold = thr
-        node.gain = dec * len(idx)  # total impurity reduction at this node
-        mask = X[idx, j] <= thr
-        node.left = TreeNode()
-        node.right = TreeNode()
-        stack.append((node.left, idx[mask], depth + 1))
-        stack.append((node.right, idx[~mask], depth + 1))
+        # the midpoint of adjacent floats can round up to b; a <= thr < b keeps
+        # `x <= thr` (tree_predict) routing every row to the side searched here
+        node.threshold = float(thr if thr < b else a)
+        node.gain = best_gain * m if cart else best_gain
+        in_left[sid[:i + 1]] = True
+        left_lists, right_lists = [], []
+        for lst in lists:
+            if lst is None:
+                left_lists.append(None)
+                right_lists.append(None)
+                continue
+            goes_left = in_left[lst]
+            left_lists.append(lst[goes_left])
+            right_lists.append(lst[~goes_left])
+        in_left[sid[:i + 1]] = False
+        node.left, node.right = TreeNode(), TreeNode()
+        stack.append((node.left, left_lists, depth + 1))
+        stack.append((node.right, right_lists, depth + 1))
+    return root, leaf_rows
+
+
+def _cart_tree(X, y, params, n_feats=None, rng=None) -> TreeNode:
+    # g = y and h = 1, so G/H is the positive-class fraction
+    cols, orders = presort(X)
+    root, _ = grow_tree(cols, orders, y, np.ones(len(y)), gini_decrease,
+                        lambda G, H: G / H, max_depth=params.max_depth,
+                        min_split=params.min_split, min_leaf=params.min_leaf, cart=True,
+                        n_feats=n_feats, rng=rng)
+    root.validate()
     return root
 
 
@@ -197,10 +257,7 @@ class DTState:
 
 
 def fit_dt(X, y, params: DTParams, seed: int):
-    tree = build_cart(X, y, max_depth=params.max_depth, min_split=params.min_split,
-                      min_leaf=params.min_leaf)
-    tree.validate()
-    return DTState(tree, X.shape[1]), {}
+    return DTState(_cart_tree(X, y, params), X.shape[1]), {}
 
 
 def predict_dt(state: DTState, X) -> np.ndarray:
@@ -245,21 +302,19 @@ class RFState:
 
 def fit_rf(X, y, params: RFParams, seed: int):
     """Bagged CART trees; the forest score is the mean of the tree scores."""
-    n = X.shape[0]
+    n, p = X.shape
+    if params.feature_subsample is None:
+        n_feats = p
+    elif params.feature_subsample == "sqrt":
+        n_feats = max(1, int(np.sqrt(p)))
+    else:
+        n_feats = max(1, min(int(params.feature_subsample), p))
     forest = []
     for t in range(params.n_trees):
         rng = derive_rng(seed, "rf_tree", t)
-        if params.bootstrap:
-            rows = rng.integers(0, n, n)
-            Xt, yt = X[rows], y[rows]
-        else:
-            Xt, yt = X, y
-        tree = build_cart(Xt, yt, max_depth=params.max_depth, min_split=params.min_split,
-                          min_leaf=params.min_leaf,
-                          max_features=params.feature_subsample, rng=rng)
-        tree.validate()
-        forest.append(tree)
-    return RFState(forest, X.shape[1]), {}
+        rows = rng.integers(0, n, n) if params.bootstrap else np.arange(n)
+        forest.append(_cart_tree(X[rows], y[rows], params, n_feats, rng))
+    return RFState(forest, p), {}
 
 
 def predict_rf(state: RFState, X) -> np.ndarray:

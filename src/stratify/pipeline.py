@@ -99,6 +99,12 @@ class RunConfig:
             raise ConfigError("k_fixed must be >= 1")
         if not self.pattern_hparams:
             raise ConfigError("need hyperparameters for at least one pattern")
+        for hparams in (*self.pattern_hparams, self.direct_hparams):
+            for alg, params in hparams.items():
+                try:
+                    clf.resolve_params(alg, params)
+                except TrainingError as e:
+                    raise ConfigError(str(e)) from e
 
     def hparams_for_pattern(self, pattern_id: int) -> dict:
         # patterns beyond the configured list reuse the last entry

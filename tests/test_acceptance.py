@@ -310,6 +310,7 @@ def benchmark_runs():
     return results, time.time() - t0
 
 
+@pytest.mark.slow
 def test_criterion_12_synthetic_end_to_end(benchmark_runs):
     results, elapsed = benchmark_runs
     k2 = sum(1 for r in results if r["winner"] == 2)
@@ -352,6 +353,7 @@ def test_criterion_13_real_dataset():
     report(13, elapsed < 900, f"real-data run in {elapsed:.0f}s")
 
 
+@pytest.mark.slow
 def test_criterion_14_determinism_of_first_seed(tmp_path, benchmark_runs):
     spec = synthcohort.edx_cohort_spec()
     sample = synthcohort.generate(spec, 92722, seed=0)

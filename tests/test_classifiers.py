@@ -25,18 +25,24 @@ def test_gini_examples():
         trees.gini_impurity((0, 0))
 
 
+def dt_root(X, y):
+    """The root split of a depth-1 DT: the grower's best split over all rows."""
+    return clf.fit("DT", X, y, {"max_depth": 1}, seed=0).state.tree
+
+
 def test_best_split_example():
     X = np.array([[0.0], [1.0], [2.0], [3.0]])
-    y = np.array([0, 0, 1, 1])
-    j, thr, dec = trees.best_split(X, y, [0])
-    assert j == 0 and thr == pytest.approx(1.5) and dec == pytest.approx(0.5)
+    root = dt_root(X, np.array([0, 0, 1, 1]))
+    # the recorded gain is the impurity decrease times the node's rows
+    assert root.feature == 0 and root.threshold == pytest.approx(1.5)
+    assert root.gain / root.n_samples == pytest.approx(0.5)
 
 
 def test_best_split_none_cases():
     X = np.array([[0.0], [1.0], [2.0]])
-    assert trees.best_split(X, np.array([1, 1, 1]), [0]) is None
+    assert dt_root(X, np.array([1, 1, 1])).is_leaf
     const = np.zeros((4, 2))
-    assert trees.best_split(const, np.array([0, 1, 0, 1]), [0, 1]) is None
+    assert dt_root(const, np.array([0, 1, 0, 1])).is_leaf
 
 
 def test_best_split_matches_enumeration(rng):
@@ -66,13 +72,81 @@ def test_best_split_matches_enumeration(rng):
         n = int(rng.integers(4, 20))
         X = np.round(rng.normal(size=(n, 3)), 1)
         y = rng.integers(0, 2, n)
-        got = trees.best_split(X, y, range(3))
+        got = dt_root(X, y)
         want = oracle_best(X, y)
         if want is None:
-            assert got is None
+            assert got.is_leaf
         else:
-            assert got is not None
-            assert got[2] == pytest.approx(want[2], abs=1e-12)
+            assert not got.is_leaf
+            assert got.gain / got.n_samples == pytest.approx(want[2], abs=1e-12)
+
+
+def test_gbt_root_split_matches_enumeration(rng):
+    def oracle_best_gain(X, g, h, min_leaf, mcw, lam, gamma):
+        best = None
+        for j in range(X.shape[1]):
+            vals = sorted(set(X[:, j]))
+            for a, b in zip(vals, vals[1:]):
+                left = X[:, j] <= (a + b) / 2
+                if min(left.sum(), (~left).sum()) < min_leaf:
+                    continue
+                GL, HL = g[left].sum(), h[left].sum()
+                GR, HR = g[~left].sum(), h[~left].sum()
+                if HL < mcw or HR < mcw:
+                    continue
+                gain = 0.5 * (GL ** 2 / (HL + lam) + GR ** 2 / (HR + lam)
+                              - (GL + GR) ** 2 / (HL + HR + lam)) - gamma
+                if gain > 1e-12 and (best is None or gain > best):
+                    best = gain
+        return best
+
+    checked = 0
+    for _ in range(30):
+        n = int(rng.integers(6, 30))
+        X = np.round(rng.normal(size=(n, 3)), 1)
+        y = rng.integers(0, 2, n).astype(float)
+        if y.min() == y.max():
+            continue
+        hp = {"max_depth": 1, "n_trees": 3, "min_leaf": int(rng.integers(1, 5)),
+              "min_child_weight": float(rng.choice([0.0, 0.5, 1.0])),
+              "reg_lambda": float(rng.choice([0.0, 1.0])),
+              "reg_gamma": float(rng.choice([0.0, 0.05]))}
+        forest = clf.fit("GBT", X, y, hp, seed=0).state.forest
+        margin = np.zeros(n)
+        for t in range(hp["n_trees"]):
+            prob = linear.sigmoid(margin)
+            want = oracle_best_gain(X, prob - y, prob * (1 - prob), hp["min_leaf"],
+                                    hp["min_child_weight"], hp["reg_lambda"],
+                                    hp["reg_gamma"])
+            if t == len(forest):  # boosting stopped: this round fitted nothing
+                assert want is None
+                break
+            root = forest[t]
+            if want is None:
+                assert root.is_leaf
+            else:
+                assert not root.is_leaf
+                assert root.gain == pytest.approx(want, rel=1e-9, abs=1e-12)
+                checked += 1
+            margin += trees.tree_predict(root, X)
+    assert checked >= 10
+
+
+def test_split_threshold_between_adjacent_floats():
+    # (a + b) / 2 rounds up to b for these neighbours; the threshold must stay
+    # below b so that prediction routes rows as the split search did
+    a = 0.3
+    b = np.nextafter(a, 1.0)
+    assert (a + b) / 2 == b
+    X = np.array([[a], [a], [b], [b]])
+    y = np.array([0, 0, 1, 1])
+    dt = clf.fit("DT", X, y, seed=0)
+    assert dt.state.tree.threshold == a
+    assert np.array_equal(clf.predict_scores(dt, X), y)
+    gbt = clf.fit("GBT", X, y, seed=0)
+    assert all(t.threshold == a for t in gbt.state.forest if not t.is_leaf)
+    refit_loss = linear.log_loss_terms(boosting.gbt_margin(gbt.state, X), y).mean()
+    assert refit_loss == pytest.approx(gbt.meta["final_loss"], rel=1e-12)
 
 
 @pytest.mark.parametrize("alg", clf.ALGORITHMS)
@@ -255,6 +329,25 @@ def test_gbt_split_gain_positive_requirement(rng):
     m = clf.fit("GBT", X, y, {"n_trees": 5, "max_depth": 3}, seed=0)
     # constant features: every tree is a single leaf, boosting stops early
     assert all(t.is_leaf for t in m.state.forest)
+
+
+def test_svc_computes_each_pair_column_once(rng, monkeypatch):
+    # above 2048 rows SVC computes kernel columns on demand; an accepted pair
+    # needs column i for K_ij and for the f update, and should compute it once
+    n = 2100
+    X = rng.normal(size=(n, 3))
+    y = (X[:, 0] + rng.normal(scale=0.5, size=n) > 0).astype(int)
+    requested = []
+    real = svm._rbf_columns
+
+    def counting(X_, idx, gamma, sq):
+        requested.extend(int(i) for i in idx)
+        return real(X_, idx, gamma, sq)
+
+    monkeypatch.setattr(svm, "_rbf_columns", counting)
+    clf.fit("SVC", X, y, {"max_sweeps": 2}, seed=0)
+    assert len(requested) > n // 2
+    assert all(a != b for a, b in zip(requested, requested[1:]))
 
 
 def test_svc_kkt_conditions_on_separable_instances(rng):

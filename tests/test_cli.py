@@ -155,6 +155,14 @@ def test_explain_outputs(run_dir):
     assert shares[-1] > 0 and abs(sum(shares) - 1.0) < 1e-9
 
 
+def test_run_misspelt_hyperparameter_exits_2_before_stage1(workspace, tmp_path):
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps({"direct_hparams": {"DT": {"min_splt": 2}}}))
+    assert run_cli("run", "--data", workspace / "ingest" / "clean.csv",
+                   "--config", cfg_path, "--out", tmp_path / "out") == 2
+    assert not (tmp_path / "out").exists()
+
+
 def test_explain_missing_pattern_exits_2(run_dir):
     assert run_cli("explain", "--run-dir", run_dir / "a", "--pattern", 9) == 2
 

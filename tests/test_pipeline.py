@@ -184,6 +184,7 @@ def test_single_class_pattern_flagged_not_dropped():
     assert any("single_class" in f for f in run.flags)
 
 
+@pytest.mark.slow
 def test_minority_pattern_gains_more_from_integration():
     # the benchmark-profile cohort has distinct per-pattern outcome models and a
     # tiny engaged pattern; the pooled fit underserves it, so its mean accuracy
@@ -237,6 +238,13 @@ def test_config_rejects_unknown_keys():
     with pytest.raises(ConfigError, match="kmeans.restart"):
         pl.RunConfig.from_dict({"kmeans": {"restart": 3}})
     assert pl.RunConfig.from_dict({"kmeans": {"restarts": 3}}).kmeans_max_iter == 300
+
+
+def test_config_rejects_misspelt_hyperparameters():
+    with pytest.raises(ConfigError, match="min_splt"):
+        pl.RunConfig.from_dict({"direct_hparams": {"DT": {"min_splt": 2}}})
+    with pytest.raises(ConfigError, match="n_tree"):
+        pl.RunConfig(pattern_hparams=({"RF": {"n_tree": 5}},))
 
 
 def test_docs_config_matches_defaults():
