@@ -40,6 +40,8 @@ class GBTParams:
             raise TrainingError("depth and round counts must be >= 1")
         if self.learning_rate <= 0 or self.reg_lambda < 0:
             raise TrainingError("learning rate must be > 0 and lambda >= 0")
+        if self.min_leaf < 1:
+            raise TrainingError("min_leaf must be >= 1")
 
 
 @dataclass

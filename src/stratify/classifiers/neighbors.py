@@ -1,7 +1,14 @@
-"""Brute-force K-nearest-neighbor scoring.
+"""Exact k-nearest-neighbor search and brute-force KNN scoring.
 
-The stored training set is the model. At 10-ish features and up to ~1e5 rows a
-chunked dense distance computation is cheap, so the tree-search tuning knob
+``knn_indices`` is the one neighbor search of the package: KNN scoring and
+SMOTE (``resampling.smote``) both call it. It walks the query rows in blocks of
+at most ``BLOCK_ROWS`` rows and ``BLOCK_CELLS`` distances, so its memory is
+linear in the number of rows; each block keeps its k smallest squared
+distances with ``argpartition``. The neighbor order is exact: (squared
+distance, index), so equidistant rows resolve toward the lower index.
+
+The stored training set is the KNN model. At 10-ish features and up to ~1e5
+rows the blocked dense search is cheap, so the tree-search tuning knob
 (`leaf_size`) is accepted for config compatibility and ignored.
 """
 
@@ -46,26 +53,68 @@ def fit_knn(X, y, params: KNNParams, seed: int):
     return KNNState(X.copy(), y.copy(), k), {}
 
 
-def predict_knn(state: KNNState, X, chunk: int = 512) -> np.ndarray:
+def predict_knn(state: KNNState, X) -> np.ndarray:
     """Score = fraction of positive neighbors among the k nearest.
 
     Neighbor order is (distance, training index), so equidistant points resolve
     deterministically. An exactly split vote is nudged by 1e-9 toward the
     single nearest neighbor's label so strict 0.5-thresholding follows it.
     """
-    k = state.k
-    n_train = state.X.shape[0]
-    sq_train = (state.X * state.X).sum(1)
-    out = np.empty(X.shape[0])
-    for start in range(0, X.shape[0], chunk):
-        Q = X[start:start + chunk]
-        d2 = (Q * Q).sum(1)[:, None] - 2.0 * (Q @ state.X.T) + sq_train[None, :]
-        order = np.argsort(d2, axis=1, kind="stable")[:, :k]
-        votes = state.y[order]
-        frac = votes.mean(axis=1)
-        tie = frac == 0.5
-        if tie.any():
-            nearest = votes[:, 0]
-            frac = np.where(tie, 0.5 + (2.0 * nearest - 1.0) * 1e-9, frac)
-        out[start:start + chunk] = frac
+    votes = state.y[knn_indices(X, state.X, state.k)]
+    frac = votes.mean(axis=1)
+    tie = frac == 0.5
+    if tie.any():
+        nearest = votes[:, 0]
+        frac = np.where(tie, 0.5 + (2.0 * nearest - 1.0) * 1e-9, frac)
+    return frac
+
+
+# a block of query rows holds at most BLOCK_ROWS rows and BLOCK_CELLS distances
+# (32 MiB of float64); training sets up to 8,192 rows get full 512-row blocks
+BLOCK_ROWS = 512
+BLOCK_CELLS = 2 ** 22
+
+
+def knn_indices(Q, X, k: int, exclude_self: bool = False) -> np.ndarray:
+    """Indices into X of the k nearest rows to each row of Q, nearest first.
+
+    Squared Euclidean distances come from ||q||^2 - 2 q.x + ||x||^2, and the
+    neighbors of each query row are ordered by (distance, index). With
+    ``exclude_self`` Q must be X itself and no row is its own neighbor. Needs
+    1 <= k <= len(X).
+    """
+    n = X.shape[0]
+    block = max(1, min(BLOCK_ROWS, BLOCK_CELLS // n))
+    xx = (X * X).sum(1)
+    qq = xx if Q is X else (Q * Q).sum(1)
+    out = np.empty((Q.shape[0], k), dtype=np.int64)
+    for start in range(0, Q.shape[0], block):
+        stop = min(start + block, Q.shape[0])
+        # in place, which rounds the same as qq - 2.0 * (Q @ X.T) + xx
+        d2 = Q[start:stop] @ X.T
+        d2 *= -2.0
+        d2 += qq[start:stop, None]
+        d2 += xx[None, :]
+        if exclude_self:
+            d2[np.arange(stop - start), np.arange(start, stop)] = np.inf
+        out[start:stop] = _k_smallest(d2, k)
     return out
+
+
+def _k_smallest(d2, k):
+    # the k smallest entries of each row, ordered by (value, column)
+    part = np.argpartition(d2, k - 1, axis=1)[:, :k]
+    dk = np.take_along_axis(d2, part, axis=1)
+    idx = np.take_along_axis(part, np.lexsort((part, dk)), axis=1)
+    # more than k entries at or below a row's k-th smallest value: the kept k
+    # are then an arbitrary choice among the tied, so redo those rows with a
+    # stable sort of just the entries at or below it (columns stay ascending)
+    below = d2 <= dk.max(axis=1)[:, None]
+    count = np.count_nonzero(below, axis=1)
+    tied = np.flatnonzero(count > k)
+    if len(tied):
+        rows, cols = np.nonzero(below[tied])
+        order = np.lexsort((d2[tied[rows], cols], rows))
+        first = np.cumsum(count[tied]) - count[tied]
+        idx[tied] = cols[order][first[:, None] + np.arange(k)]
+    return idx

@@ -280,6 +280,13 @@ class RFParams:
     def __post_init__(self):
         if self.n_trees < 1:
             raise TrainingError("forest needs at least one tree")
+        if self.min_split < 1 or self.min_leaf < 1:
+            raise TrainingError("tree size constraints must be >= 1")
+        fs = self.feature_subsample
+        if not (fs is None or fs == "sqrt"
+                or (isinstance(fs, int) and not isinstance(fs, bool) and fs >= 1)):
+            raise TrainingError(f"feature_subsample must be null, \"sqrt\" or an int >= 1, "
+                                f"got {fs!r}")
 
 
 @dataclass
@@ -308,7 +315,7 @@ def fit_rf(X, y, params: RFParams, seed: int):
     elif params.feature_subsample == "sqrt":
         n_feats = max(1, int(np.sqrt(p)))
     else:
-        n_feats = max(1, min(int(params.feature_subsample), p))
+        n_feats = min(params.feature_subsample, p)
     forest = []
     for t in range(params.n_trees):
         rng = derive_rng(seed, "rf_tree", t)

@@ -5,6 +5,11 @@ its k nearest minority neighbors: x_new = x + u * (x_nn - x), u ~ U[0, 1).
 Generation provenance (parent index, neighbor index, u) is kept so every
 synthetic row can be reconstructed exactly. Applies to training data only;
 never hand it a test partition.
+
+The neighbor lists come from ``classifiers.neighbors.knn_indices``, which
+works through the minority rows in blocks, so memory grows linearly with the
+minority count. Neighbors are ordered by (squared distance, row index): an
+equidistant tie goes to the lower minority row.
 """
 
 from __future__ import annotations
@@ -13,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .classifiers.neighbors import knn_indices
 from .errors import ResamplingError
 from .rng import derive_rng
 
@@ -74,11 +80,7 @@ def smote(X, y, k_neighbors: int = 5, target_ratio: float = 1.0,
 
     k = min(k_neighbors, n_min - 1)
     Xm = X[min_rows]
-    d2 = (Xm * Xm).sum(1)[:, None] - 2.0 * (Xm @ Xm.T) + (Xm * Xm).sum(1)[None, :]
-    np.fill_diagonal(d2, np.inf)
-    # k nearest minority neighbors per minority row, nearest-first (stable sort
-    # breaks distance ties toward the lower row index)
-    neighbors = np.argsort(d2, axis=1, kind="stable")[:, :k]
+    neighbors = knn_indices(Xm, Xm, k, exclude_self=True)
 
     parent_local = rng.integers(0, n_min, n_new)
     pick = rng.integers(0, k, n_new)

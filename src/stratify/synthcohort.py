@@ -280,13 +280,6 @@ def _split_dispersion(mus, weights, global_sd):
     return [float(c * mu) for mu in mus]
 
 
-def _country_levels(n_countries: int = 65):
-    levels = tuple(f"C{i:02d}" for i in range(1, n_countries + 1))
-    raw = np.array([1.0 / r for r in range(1, n_countries + 1)])
-    probs = raw / raw.sum()
-    return levels, tuple(float(x) for x in probs)
-
-
 def _age_gen(share_under_35: float, sd: float = 7.97, tail_frac: float = 0.005) -> FeatureGen:
     mean = 35.0 - sd * NormalDist().inv_cdf(share_under_35)
     return FeatureGen("continuous", mean=mean, sd=sd, clip=_AGE_BOUNDS, tail_frac=tail_frac)

@@ -280,3 +280,43 @@ def adjusted_rand_index(a, b):
     if denom == 0:
         return 1.0
     return (sum_ij - expected) / denom
+
+
+# ---------------------------------------------------------------------------
+# nearest neighbors and resampling
+# ---------------------------------------------------------------------------
+
+def knn_order(Q, X, k, exclude_self=False):
+    """The k nearest rows of X to each row of Q, ordered by (squared distance,
+    index). Distances are summed as Python ints, so coordinates must be
+    integers; then every distance is exact and ties are real ties."""
+    out = []
+    for i, q in enumerate(Q):
+        cands = sorted((sum((int(a) - int(b)) ** 2 for a, b in zip(q, x)), j)
+                       for j, x in enumerate(X) if not (exclude_self and i == j))
+        out.append([j for _, j in cands[:k]])
+    return out
+
+
+def smote_dense(X, y, k_neighbors, target_ratio, rng):
+    """SMOTE as first written, frozen: the whole n_min x n_min distance matrix
+    and a stable argsort of each row. ``rng`` must be the package's "smote"
+    stream; returns (X_out, parent, neighbor, u)."""
+    X = np.asarray(X, dtype=np.float64)
+    classes, counts = np.unique(y, return_counts=True)
+    minority_label = classes[int(np.argmin(counts))]
+    n_min, n_maj = int(counts.min()), int(counts.max())
+    n_new = max(0, int(np.ceil(target_ratio * n_maj - 1e-12)) - n_min)
+    min_rows = np.flatnonzero(y == minority_label)
+    k = min(k_neighbors, n_min - 1)
+    Xm = X[min_rows]
+    d2 = (Xm * Xm).sum(1)[:, None] - 2.0 * (Xm @ Xm.T) + (Xm * Xm).sum(1)[None, :]
+    np.fill_diagonal(d2, np.inf)
+    neighbors = np.argsort(d2, axis=1, kind="stable")[:, :k]
+    parent_local = rng.integers(0, n_min, n_new)
+    pick = rng.integers(0, k, n_new)
+    u = rng.random(n_new)
+    parent = min_rows[parent_local]
+    neighbor = min_rows[neighbors[parent_local, pick]]
+    X_new = X[parent] + u[:, None] * (X[neighbor] - X[parent])
+    return np.vstack([X, X_new]), parent, neighbor, u

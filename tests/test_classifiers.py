@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from stratify import classifiers as clf
-from stratify.classifiers import boosting, linear, neural, svm, trees
+from stratify.classifiers import boosting, linear, neighbors, neural, svm, trees
 from stratify.errors import TrainingError
 
 import oracles
@@ -395,3 +395,70 @@ def test_resolve_params_rejects_unknown_keys():
         clf.fit("GBT", SEPARABLE_X, SEPARABLE_Y, {"bogus": 1}, seed=0)
     with pytest.raises(TrainingError):
         clf.fit("XXX", SEPARABLE_X, SEPARABLE_Y, seed=0)
+
+
+@pytest.mark.parametrize("alg, params", [
+    ("RF", {"feature_subsample": "log2"}),
+    ("RF", {"feature_subsample": 0}),
+    ("RF", {"feature_subsample": 2.5}),
+    ("RF", {"feature_subsample": True}),
+    ("RF", {"min_leaf": 0}),
+    ("RF", {"min_leaf": -3}),
+    ("RF", {"min_split": 0}),
+    ("GBT", {"min_leaf": 0}),
+    ("GBT", {"min_leaf": -3}),
+])
+def test_rf_gbt_reject_out_of_range_hyperparameters(alg, params):
+    with pytest.raises(TrainingError):
+        clf.resolve_params(alg, params)
+    with pytest.raises(TrainingError):
+        clf.fit(alg, SEPARABLE_X, SEPARABLE_Y, params, seed=0)
+
+
+@pytest.mark.parametrize("subsample", [None, "sqrt", 1, 2])
+def test_rf_feature_subsample_accepted_values(subsample):
+    m = clf.fit("RF", SEPARABLE_X, SEPARABLE_Y,
+                {"n_trees": 3, "feature_subsample": subsample, "min_split": 1}, seed=0)
+    assert clf.predict_scores(m, SEPARABLE_X).shape == (4,)
+
+
+@pytest.mark.parametrize("block_rows", [512, 7, 1])
+def test_knn_indices_match_brute_force_order(rng, monkeypatch, block_rows):
+    # small-integer coordinates: every distance is exact and ties are dense
+    monkeypatch.setattr(neighbors, "BLOCK_ROWS", block_rows)
+    for n, p in ((1, 2), (9, 1), (40, 2), (60, 3)):
+        X = rng.integers(0, 4, size=(n, p)).astype(float)
+        Q = rng.integers(-1, 5, size=(23, p)).astype(float)
+        for k in sorted({1, min(3, n), n}):  # k == n keeps every row
+            assert neighbors.knn_indices(Q, X, k).tolist() == oracles.knn_order(Q, X, k)
+        for k in sorted({min(1, n - 1), min(5, n - 1)} - {0}):  # k < n without self
+            got = neighbors.knn_indices(X, X, k, exclude_self=True)
+            assert got.tolist() == oracles.knn_order(X, X, k, exclude_self=True)
+
+
+def test_knn_indices_block_size_from_training_rows(monkeypatch):
+    # a block holds at most BLOCK_CELLS distances: fewer query rows per block
+    # for a larger training set, the same neighbors
+    X = np.repeat(np.arange(5.0)[:, None], 8, axis=0)  # every value 8 times
+    Q = np.arange(-1.0, 6.0, 0.5)[:, None]
+    want = neighbors.knn_indices(Q, X, 11)
+    monkeypatch.setattr(neighbors, "BLOCK_CELLS", 3 * len(X))
+    assert np.array_equal(neighbors.knn_indices(Q, X, 11), want)
+    assert want.tolist() == oracles.knn_order(2 * Q, 2 * X, 11)
+
+
+def test_knn_ties_straddle_a_block_boundary(monkeypatch):
+    # rows 1-4 of the training set are equidistant from every query; with
+    # 3-row blocks the queries asking for them fall in different blocks, and
+    # the two lowest-index tied rows (one of each label) must win everywhere
+    X = np.array([[9.0, 9.0], [1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]])
+    y = np.array([1, 0, 1, 1, 0])
+    m = clf.fit("KNN", X, y, {"n_neighbors": 2}, seed=0)
+    Q = np.zeros((8, 2))
+    whole = clf.predict_scores(m, Q)
+    monkeypatch.setattr(neighbors, "BLOCK_ROWS", 3)
+    blocked = clf.predict_scores(m, Q)
+    assert blocked.tobytes() == whole.tobytes()
+    # votes rows 1 (label 0) and 2 (label 1): a split vote nudged toward row 1
+    assert np.all(blocked == 0.5 - 1e-9)
+    assert neighbors.knn_indices(Q, X, 2).tolist() == [[1, 2]] * 8

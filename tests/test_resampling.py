@@ -1,8 +1,13 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from stratify.errors import ResamplingError
 from stratify.resampling import smote
+from stratify.rng import derive_rng
+
+import oracles
 
 
 def imbalanced(rng, n_min=4, n_maj=12, p=3):
@@ -103,3 +108,39 @@ def test_neighbors_are_minority_only(rng):
     assert np.all(out.y[out.parent_idx] == 1)
     assert np.all(out.y[out.neighbor_idx] == 1)
     assert np.all(out.parent_idx != out.neighbor_idx)
+
+
+@pytest.mark.parametrize("n_min, p, discrete", [(2, 1, True), (40, 3, True), (300, 5, True),
+                                                (512, 4, True), (200, 6, False),
+                                                (512, 10, False)])
+def test_matches_frozen_dense_smote_up_to_one_block(rng, n_min, p, discrete):
+    # up to 512 minority rows the neighbor search is one block, whose distances
+    # round exactly like the dense matrix's, so every byte must agree
+    n_maj = n_min + 37
+    if discrete:  # dense exact ties, on a non-integer grid like scaled counts
+        X = rng.integers(0, 3, size=(n_min + n_maj, p)) / 7.0
+    else:
+        X = rng.normal(size=(n_min + n_maj, p))
+    y = rng.permutation(np.array([1] * n_min + [0] * n_maj))
+    for k in (1, 3, 5):
+        out = smote(X, y, k_neighbors=k, seed=k)
+        X_ref, parent, neighbor, u = oracles.smote_dense(X, y, k, 1.0,
+                                                         derive_rng(k, "smote"))
+        assert out.X.tobytes() == X_ref.tobytes()
+        assert np.array_equal(out.parent_idx, parent)
+        assert np.array_equal(out.neighbor_idx, neighbor)
+        assert out.interpolation.tobytes() == u.tobytes()
+
+
+def test_neighbor_search_memory_is_linear_in_minority_rows(rng):
+    # the dense 8,000 x 8,000 distance matrix and its argsort took 981 MiB
+    X = rng.normal(size=(16_001, 10))
+    y = np.array([1] * 8_000 + [0] * 8_001)
+    tracemalloc.start()
+    try:
+        out = smote(X, y, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.n_synthetic == 1
+    assert peak <= 128 * 2 ** 20
