@@ -3,9 +3,9 @@
 ``knn_indices`` is the one neighbor search of the package: KNN scoring and
 SMOTE (``resampling.smote``) both call it. It walks the query rows in blocks of
 at most ``BLOCK_ROWS`` rows and ``BLOCK_CELLS`` distances, so its memory is
-linear in the number of rows; each block keeps its k smallest squared
-distances with ``argpartition``. The neighbor order is exact: (squared
-distance, index), so equidistant rows resolve toward the lower index.
+linear in the number of rows; each block keeps the first k columns of a
+stable ``argsort``. The neighbor order is exact: (squared distance, index), so
+equidistant rows resolve toward the lower index.
 
 The stored training set is the KNN model. At 10-ish features and up to ~1e5
 rows the blocked dense search is cheap, so the tree-search tuning knob
@@ -97,24 +97,5 @@ def knn_indices(Q, X, k: int, exclude_self: bool = False) -> np.ndarray:
         d2 += xx[None, :]
         if exclude_self:
             d2[np.arange(stop - start), np.arange(start, stop)] = np.inf
-        out[start:stop] = _k_smallest(d2, k)
+        out[start:stop] = np.argsort(d2, axis=1, kind="stable")[:, :k]
     return out
-
-
-def _k_smallest(d2, k):
-    # the k smallest entries of each row, ordered by (value, column)
-    part = np.argpartition(d2, k - 1, axis=1)[:, :k]
-    dk = np.take_along_axis(d2, part, axis=1)
-    idx = np.take_along_axis(part, np.lexsort((part, dk)), axis=1)
-    # more than k entries at or below a row's k-th smallest value: the kept k
-    # are then an arbitrary choice among the tied, so redo those rows with a
-    # stable sort of just the entries at or below it (columns stay ascending)
-    below = d2 <= dk.max(axis=1)[:, None]
-    count = np.count_nonzero(below, axis=1)
-    tied = np.flatnonzero(count > k)
-    if len(tied):
-        rows, cols = np.nonzero(below[tied])
-        order = np.lexsort((d2[tied[rows], cols], rows))
-        first = np.cumsum(count[tied]) - count[tied]
-        idx[tied] = cols[order][first[:, None] + np.arange(k)]
-    return idx

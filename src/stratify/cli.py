@@ -164,7 +164,6 @@ def cmd_explain(args) -> int:
     with open(os.path.join(rundir_path, "run_state.json"), "r", encoding="utf-8") as fh:
         state = json.load(fh)
     cfg = pipeline.RunConfig.from_dict(state["config"])
-    seed = cfg.seed if args.seed is None else args.seed
     schema = ds_mod.FeatureSchema.from_json(os.path.join(rundir_path, "schema.json"))
     dataset = ds_mod.load_dataset_csv(os.path.join(rundir_path, "data.csv"), schema)
     entry = next((p for p in state["patterns"] if p["id"] == args.pattern), None)
@@ -181,14 +180,14 @@ def cmd_explain(args) -> int:
     if cfg.smote_enabled:
         from .resampling import smote
         res = smote(Xb, yb, cfg.smote_k, cfg.smote_ratio,
-                    derive_seed(seed, "explain_smote", args.pattern))
+                    derive_seed(cfg.seed, "explain_smote", args.pattern))
         Xb, yb = res.X, res.y
     gbt_hp = cfg.hparams_for_pattern(args.pattern).get("GBT")
     model = clf.fit("GBT", Xb, yb, gbt_hp,
-                    seed=derive_seed(seed, "explain_fit", args.pattern))
+                    seed=derive_seed(cfg.seed, "explain_fit", args.pattern))
 
     # background and explained rows are real training rows, never synthetic ones
-    rng = derive_rng(seed, "explain_sample", args.pattern)
+    rng = derive_rng(cfg.seed, "explain_sample", args.pattern)
     n_train = len(train_rows)
     X_train_norm = ds_mod.apply_normalizer(norm, train).X[:, behavior]
     background = X_train_norm[np.sort(rng.choice(n_train, min(args.background, n_train),
@@ -202,7 +201,7 @@ def cmd_explain(args) -> int:
     reports.write_importance_csv(out.path("importance.csv"), ranking)
     reports.write_shap_csv(out.path("shap_values.csv"), explain_mod.beeswarm_export(matrix))
     out.write_manifest("explain", {"pattern": args.pattern, "n_explain": args.n_explain,
-                                   "background": args.background}, seed, started)
+                                   "background": args.background}, cfg.seed, started)
     top = [names[j] for j in ranking.order[:3]]
     print(f"pattern {args.pattern}: top features by split gain: {', '.join(top)}")
     return EXIT_OK
@@ -253,8 +252,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_run)
 
     p = sub.add_parser("explain", help="feature attribution for one pattern of a run")
-    p.add_argument("--seed", type=int, default=None,
-                   help="seed of the SMOTE, fit and row-sample streams (default: the run's seed)")
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--run-dir", required=True)
     p.add_argument("--pattern", type=int, required=True)
     p.add_argument("--n-explain", type=int, default=200)

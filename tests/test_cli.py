@@ -155,19 +155,6 @@ def test_explain_outputs(run_dir):
     assert shares[-1] > 0 and abs(sum(shares) - 1.0) < 1e-9
 
 
-def test_explain_seed_sets_the_streams(run_dir):
-    def explain(*seed_args):
-        assert run_cli("explain", "--run-dir", run_dir / "a", "--pattern", 0,
-                       "--n-explain", 10, "--background", 20, *seed_args) == 0
-        manifest = json.loads((run_dir / "a/explain/pattern0/manifest.json").read_text())
-        return manifest["artifacts"], manifest["seed"]
-
-    unset, run_seed = explain(), explain("--seed", 5)  # the run's config seed is 5
-    assert unset == run_seed and unset[1] == 5
-    one, two = explain("--seed", 1), explain("--seed", 2)
-    assert one[0] != two[0] and (one[1], two[1]) == (1, 2)
-
-
 def test_run_misspelt_hyperparameter_exits_2_before_stage1(workspace, tmp_path):
     cfg_path = tmp_path / "config.json"
     cfg_path.write_text(json.dumps({"direct_hparams": {"DT": {"min_splt": 2}}}))
