@@ -6,12 +6,19 @@ strict ``score > threshold`` rule. Models serialize to a versioned JSON
 document that round-trips bit-exactly (JSON floats carry Python's shortest
 repr, which reconstructs the same float64). Each algorithm is one ``FAMILIES``
 record; adding an algorithm means one module plus one entry there.
+
+Every hyperparameter, and every ``RunConfig`` field, declares what it accepts
+once: its type in the annotation, its bounds (``gt``, ``ge``, ``lt``, ``le``)
+and extra accepted values (``choices``) in its field metadata. ``check_fields``
+is the one validator that reads them.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
+import math
+import operator
 import typing
 from dataclasses import dataclass
 
@@ -74,21 +81,76 @@ class TrainedModel:
         return self.state.n_features
 
 
+_BOUNDS = {"gt": (">", operator.gt), "ge": (">=", operator.ge),
+           "lt": ("<", operator.lt), "le": ("<=", operator.le)}
+
+
+def _accepts(kind, meta, value) -> bool:
+    args = typing.get_args(kind)
+    if typing.get_origin(kind) is tuple:  # a non-empty list; a fixed-length one is lo <= hi
+        return (isinstance(value, (tuple, list)) and len(value) > 0
+                and all(_accepts(args[0], meta, v) for v in value)
+                and (args[-1] is Ellipsis or (len(value) == len(args)
+                                              and list(value) == sorted(value))))
+    if value is None:
+        return type(None) in args
+    kind = args[0] if args else kind
+    if value in meta.get("choices", ()):
+        return True
+    if kind is str or isinstance(value, bool) != (kind is bool):
+        return False  # strings only from choices; a bool is no number
+    if not isinstance(value, (int, float) if kind is float else kind):
+        return False  # an int is a float as given, and stays an int
+    if isinstance(value, float) and not math.isfinite(value):
+        return False
+    return all(op(value, meta[key]) for key, (_, op) in _BOUNDS.items() if key in meta)
+
+
+def describe(kind, meta) -> str:
+    """The values ``_accepts`` takes, in words: '"scale" or float > 0', 'int >= 1 or null'."""
+    args = typing.get_args(kind)
+    if typing.get_origin(kind) is tuple:
+        inner = describe(args[0], meta)
+        return (f"non-empty list of {inner}" if args[-1] is Ellipsis
+                else f"[lo, hi] of {inner}, lo <= hi")
+    words = [json.dumps(c) for c in meta.get("choices", ())]
+    base = args[0] if args else kind
+    if base is not str:
+        bounds = " and ".join(f"{sym} {meta[key]}" for key, (sym, _) in _BOUNDS.items()
+                              if key in meta)
+        words.append(f"{base.__name__} {bounds}".rstrip())
+    return " or ".join(words + ["null"] * (type(None) in args))
+
+
+def check_fields(obj, error, prefix: str = "") -> None:
+    """Raise ``error`` naming the first field of dataclass ``obj`` whose value its
+    annotation and metadata do not accept. Values are never converted."""
+    hints = typing.get_type_hints(type(obj))
+    for f in dataclasses.fields(obj):
+        value = getattr(obj, f.name)
+        if not _accepts(hints[f.name], f.metadata, value):
+            key = ".".join(filter(None, f.metadata.get("json", (None, f.name))))
+            raise error(f"{prefix}{key} must be {describe(hints[f.name], f.metadata)}, "
+                        f"got {value!r}")
+
+
 def resolve_params(algorithm: str, params=None, **overrides):
-    """Build the algorithm's parameter dataclass from a dict/dataclass/overrides."""
+    """Build and check the algorithm's parameter dataclass from a dict/dataclass/overrides."""
     cls = _family(algorithm).params
     if params is None:
-        return cls(**overrides)
-    if isinstance(params, cls):
-        return dataclasses.replace(params, **overrides) if overrides else params
-    if isinstance(params, dict):
+        params = cls(**overrides)
+    elif isinstance(params, cls):
+        params = dataclasses.replace(params, **overrides) if overrides else params
+    elif isinstance(params, dict):
         merged = {**params, **overrides}
-        known = {f.name for f in dataclasses.fields(cls)}
-        bad = set(merged) - known
+        bad = set(merged) - {f.name for f in dataclasses.fields(cls)}
         if bad:
             raise TrainingError(f"unknown {algorithm} hyperparameters: {sorted(bad)}")
-        return cls(**merged)
-    raise TrainingError(f"cannot interpret params {params!r}")
+        params = cls(**merged)
+    else:
+        raise TrainingError(f"cannot interpret params {params!r}")
+    check_fields(params, TrainingError, f"{algorithm} ")
+    return params
 
 
 def _validate_training_input(algorithm, X, y):

@@ -15,7 +15,7 @@ ensemble margin is their sum.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -26,22 +26,14 @@ from .trees import TreeNode, grow_tree, presort, tree_predict
 
 @dataclass
 class GBTParams:
-    max_depth: int = 5
-    n_trees: int = 100
-    max_iterations: int = 50   # hard cap on boosting rounds; min(n_trees, this) governs
-    learning_rate: float = 0.3
-    reg_lambda: float = 1.0
-    reg_gamma: float = 0.0
-    min_child_weight: float = 0.0
-    min_leaf: int = 1
-
-    def __post_init__(self):
-        if self.max_depth < 1 or self.n_trees < 1 or self.max_iterations < 1:
-            raise TrainingError("depth and round counts must be >= 1")
-        if self.learning_rate <= 0 or self.reg_lambda < 0:
-            raise TrainingError("learning rate must be > 0 and lambda >= 0")
-        if self.min_leaf < 1:
-            raise TrainingError("min_leaf must be >= 1")
+    max_depth: int = field(default=5, metadata={"ge": 1})
+    n_trees: int = field(default=100, metadata={"ge": 1})
+    max_iterations: int = field(default=50, metadata={"ge": 1})  # rounds: min(n_trees, this)
+    learning_rate: float = field(default=0.3, metadata={"gt": 0})
+    reg_lambda: float = field(default=1.0, metadata={"ge": 0})
+    reg_gamma: float = field(default=0.0, metadata={"ge": 0})
+    min_child_weight: float = field(default=0.0, metadata={"ge": 0})
+    min_leaf: int = field(default=1, metadata={"ge": 1})
 
 
 @dataclass

@@ -2,11 +2,9 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
-
-from ..errors import TrainingError
 
 
 def sigmoid(z):
@@ -20,14 +18,10 @@ def log_loss_terms(z, y):
 
 @dataclass
 class LRParams:
-    reg_factor: float = 10.0     # inverse regularization strength (larger = weaker penalty)
-    stop_tol: float = 0.002      # stop when the loss improves by less than this
-    learning_rate: float = 0.1
-    max_iter: int = 5000
-
-    def __post_init__(self):
-        if self.reg_factor <= 0:
-            raise TrainingError("regularization factor must be positive")
+    reg_factor: float = field(default=10.0, metadata={"gt": 0})  # inverse regularization strength
+    stop_tol: float = field(default=0.002, metadata={"ge": 0})  # stop on a loss gain below this
+    learning_rate: float = field(default=0.1, metadata={"gt": 0})
+    max_iter: int = field(default=5000, metadata={"ge": 1})
 
 
 @dataclass

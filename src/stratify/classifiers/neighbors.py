@@ -15,23 +15,18 @@ rows the blocked dense search is cheap, so the tree-search tuning knob
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
-
-from ..errors import TrainingError
 
 log = logging.getLogger(__name__)
 
 
 @dataclass
 class KNNParams:
-    n_neighbors: int = 5
-    leaf_size: int = 30  # accepted and ignored: neighbor search is brute force
-
-    def __post_init__(self):
-        if self.n_neighbors < 1:
-            raise TrainingError("need at least one neighbor")
+    n_neighbors: int = field(default=5, metadata={"ge": 1})
+    # accepted and ignored: neighbor search is brute force
+    leaf_size: int = field(default=30, metadata={"ge": 1})
 
 
 @dataclass

@@ -5,30 +5,23 @@ plain function so it can be checked against finite differences.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..errors import TrainingError
 from ..rng import derive_rng
 from .linear import log_loss_terms, sigmoid
 
 
 @dataclass
 class MLPParams:
-    hidden: int = 50
-    activation: str = "tanh"
-    alpha: float = 0.1           # L2 penalty on weights (not biases)
-    learning_rate: float = 0.001
-    batch_size: int = 32
-    max_epochs: int = 200
-    stop_tol: float = 1e-4       # early stop on |epoch loss change|
-
-    def __post_init__(self):
-        if self.activation != "tanh":
-            raise TrainingError(f"unsupported activation {self.activation!r}")
-        if self.hidden < 1:
-            raise TrainingError("hidden layer needs at least one unit")
+    hidden: int = field(default=50, metadata={"ge": 1})
+    activation: str = field(default="tanh", metadata={"choices": ("tanh",)})
+    alpha: float = field(default=0.1, metadata={"ge": 0})  # L2 penalty on weights (not biases)
+    learning_rate: float = field(default=0.001, metadata={"gt": 0})
+    batch_size: int = field(default=32, metadata={"ge": 1})
+    max_epochs: int = field(default=200, metadata={"ge": 1})
+    stop_tol: float = field(default=1e-4, metadata={"ge": 0})  # early stop on |epoch loss change|
 
 
 @dataclass

@@ -9,28 +9,22 @@ behave, but not calibrated.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..errors import TrainingError
 from ..rng import derive_rng
 
 
 @dataclass
 class SVCParams:
-    C: float = 5.0
-    kernel: str = "rbf"
-    gamma: object = "scale"   # "scale" => 1 / (p * var(X)); or a positive float
-    tol: float = 1e-3
-    max_passes: int = 5       # consecutive no-change sweeps before declaring convergence
-    max_sweeps: int = 500
-
-    def __post_init__(self):
-        if self.kernel != "rbf":
-            raise TrainingError(f"unsupported kernel {self.kernel!r}")
-        if self.C <= 0:
-            raise TrainingError("C must be positive")
+    C: float = field(default=5.0, metadata={"gt": 0})
+    kernel: str = field(default="rbf", metadata={"choices": ("rbf",)})
+    # "scale" => 1 / (p * var(X)); or a positive float
+    gamma: float | str = field(default="scale", metadata={"gt": 0, "choices": ("scale",)})
+    tol: float = field(default=1e-3, metadata={"ge": 0})
+    max_passes: int = field(default=5, metadata={"ge": 1})  # no-change sweeps that end the fit
+    max_sweeps: int = field(default=500, metadata={"ge": 1})
 
 
 @dataclass
@@ -49,10 +43,7 @@ def _resolve_gamma(X, gamma):
     if gamma == "scale":
         var = float(X.var())
         return 1.0 / (X.shape[1] * var) if var > 0 else 1.0 / X.shape[1]
-    g = float(gamma)
-    if g <= 0:
-        raise TrainingError("gamma must be positive")
-    return g
+    return float(gamma)
 
 
 def _rbf_columns(X, idx, gamma, sq):

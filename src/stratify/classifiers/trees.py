@@ -17,7 +17,7 @@ straight into the shared predict-scores contract.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -229,13 +229,9 @@ def tree_predict(root: TreeNode, X) -> np.ndarray:
 
 @dataclass
 class DTParams:
-    min_split: int = 2      # samples required to consider splitting a node
-    min_leaf: int = 1       # samples required on each side of a split
-    max_depth: int | None = None
-
-    def __post_init__(self):
-        if self.min_split < 1 or self.min_leaf < 1:
-            raise TrainingError("tree size constraints must be >= 1")
+    min_split: int = field(default=2, metadata={"ge": 1})  # rows needed to split a node
+    min_leaf: int = field(default=1, metadata={"ge": 1})  # rows needed on each side of a split
+    max_depth: int | None = field(default=None, metadata={"ge": 1})
 
 
 @dataclass
@@ -270,23 +266,14 @@ def predict_dt(state: DTState, X) -> np.ndarray:
 
 @dataclass
 class RFParams:
-    n_trees: int = 100
-    max_depth: int | None = None
-    min_leaf: int = 1
-    min_split: int = 2
+    n_trees: int = field(default=100, metadata={"ge": 1})
+    max_depth: int | None = field(default=None, metadata={"ge": 1})
+    min_leaf: int = field(default=1, metadata={"ge": 1})
+    min_split: int = field(default=2, metadata={"ge": 1})
     bootstrap: bool = True
-    feature_subsample: object = "sqrt"  # None disables per-node subsampling
-
-    def __post_init__(self):
-        if self.n_trees < 1:
-            raise TrainingError("forest needs at least one tree")
-        if self.min_split < 1 or self.min_leaf < 1:
-            raise TrainingError("tree size constraints must be >= 1")
-        fs = self.feature_subsample
-        if not (fs is None or fs == "sqrt"
-                or (isinstance(fs, int) and not isinstance(fs, bool) and fs >= 1)):
-            raise TrainingError(f"feature_subsample must be null, \"sqrt\" or an int >= 1, "
-                                f"got {fs!r}")
+    # features drawn per node; None disables per-node subsampling
+    feature_subsample: int | str | None = field(default="sqrt",
+                                                metadata={"ge": 1, "choices": ("sqrt",)})
 
 
 @dataclass

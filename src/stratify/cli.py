@@ -3,9 +3,9 @@
 Commands: ``synth`` (generate a cohort), ``ingest`` (load/clean/encode a raw
 CSV), ``cluster`` (stage-1 K selection + pattern labels), ``run`` (both
 experimental arms + comparison), ``explain`` (importance + Shapley exports for
-one pattern of a finished run). Every command derives all randomness from
---seed and records a manifest with per-artifact checksums, so reruns are byte
-identical.
+one pattern of a finished run). Every command records a manifest with
+per-artifact checksums, and all randomness comes from one seed (``explain``
+takes the run's), so reruns are byte identical.
 
 Exit codes: 0 ok, 1 internal error, 2 input/validation error, 3 completed with
 degenerate statistics (e.g. a single-class pattern).
@@ -252,7 +252,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_run)
 
     p = sub.add_parser("explain", help="feature attribution for one pattern of a run")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=0,
+                   help="accepted and ignored: explain uses the seed of the run")
     p.add_argument("--run-dir", required=True)
     p.add_argument("--pattern", type=int, required=True)
     p.add_argument("--n-explain", type=int, default=200)

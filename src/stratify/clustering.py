@@ -522,7 +522,6 @@ def select_k(X, k_range: tuple[int, int] = (2, 8), index_set=ALL_INDICES, seed: 
 
     for k in range(k_min, k_max + 1):
         labels = _compress_labels(models[k].fit_labels)
-        sub_labels, sub_D = None, None
         if any(idx in PAIRWISE_INDICES for idx in index_set):
             if base_sub is None:
                 sub_idx = np.arange(n)
@@ -533,11 +532,11 @@ def select_k(X, k_range: tuple[int, int] = (2, 8), index_set=ALL_INDICES, seed: 
                           for c in range(int(labels.max()) + 1) if c not in present]
                 sub_idx = base_sub if not forced else np.sort(
                     np.concatenate([base_sub, np.array(forced, dtype=np.int64)]))
-            sub_labels = _compress_labels(labels[sub_idx])
-            sub_D = pairwise_distances(X[sub_idx])
+            sub_X, sub_labels = X[sub_idx], _compress_labels(labels[sub_idx])
+            sub_D = pairwise_distances(sub_X)
         for idx in index_set:
             if idx in PAIRWISE_INDICES:
-                val = _PAIRWISE_FNS[idx](None, sub_labels, dists=sub_D)
+                val = validity_index(sub_X, sub_labels, idx, dists=sub_D)
             elif idx in ("hartigan", "krzanowski_lai"):
                 try:
                     val = (hartigan_from_inertia(inertias, k, n) if idx == "hartigan"
@@ -568,22 +567,6 @@ def select_k(X, k_range: tuple[int, int] = (2, 8), index_set=ALL_INDICES, seed: 
     best_count = max(tally.values())
     report.winner = min(k for k, c in tally.items() if c == best_count)
     return report, models
-
-
-_PAIRWISE_FNS = {
-    "silhouette": lambda X, labels, dists: _pairwise_on_dists(silhouette_index, labels, dists),
-    "dunn": lambda X, labels, dists: _pairwise_on_dists(dunn_index, labels, dists),
-    "c_index": lambda X, labels, dists: _pairwise_on_dists(c_index, labels, dists),
-    "mcclain": lambda X, labels, dists: _pairwise_on_dists(mcclain_index, labels, dists),
-    "point_biserial": lambda X, labels, dists: _pairwise_on_dists(point_biserial_index, labels, dists),
-}
-
-
-def _pairwise_on_dists(fn, labels, dists):
-    # the pairwise indices only consume the distance matrix; hand them a
-    # placeholder X of matching length
-    placeholder = np.zeros((len(labels), 1))
-    return fn(placeholder, labels, dists=dists)
 
 
 def _compress_labels(labels: np.ndarray) -> np.ndarray:

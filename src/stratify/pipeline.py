@@ -71,34 +71,32 @@ def _location(f) -> tuple:
 @dataclass
 class RunConfig:
     """The fields and their defaults define the JSON document: each field is a
-    top-level key of its name, unless its metadata places it in a group."""
+    top-level key of its name, unless its metadata places it in a group. What
+    each field accepts is declared in its annotation and metadata and checked
+    by ``classifiers.check_fields``."""
 
     seed: int = 0
-    split_ratio: float = 0.7
-    k_range: tuple = (2, 8)
-    k_fixed: int | None = None
-    index_set: tuple = clustering.ALL_INDICES
-    algorithms: tuple = clf.ALGORITHMS
-    pattern_hparams: tuple = DEFAULT_PATTERN_HPARAMS
+    split_ratio: float = field(default=0.7, metadata={"gt": 0, "lt": 1})
+    k_range: tuple[int, int] = field(default=(2, 8), metadata={"ge": 2})
+    k_fixed: int | None = field(default=None, metadata={"ge": 1})
+    index_set: tuple[str, ...] = field(default=clustering.ALL_INDICES,
+                                       metadata={"choices": clustering.ALL_INDICES})
+    algorithms: tuple[str, ...] = field(default=clf.ALGORITHMS,
+                                        metadata={"choices": clf.ALGORITHMS})
+    pattern_hparams: tuple[dict, ...] = DEFAULT_PATTERN_HPARAMS
     direct_hparams: dict = field(default_factory=lambda: dict(DEFAULT_DIRECT_HPARAMS))
     smote_enabled: bool = field(default=True, metadata={"json": ("smote", "enabled")})
-    smote_k: int = field(default=5, metadata={"json": ("smote", "k_neighbors")})
-    smote_ratio: float = field(default=1.0, metadata={"json": ("smote", "target_ratio")})
-    bootstrap_b: int = 1000
-    kmeans_restarts: int = field(default=10, metadata={"json": ("kmeans", "restarts")})
-    kmeans_max_iter: int = field(default=300, metadata={"json": ("kmeans", "max_iter")})
-    kmeans_tol: float = field(default=1e-6, metadata={"json": ("kmeans", "tol")})
-    index_sample_cap: int = 2048
-    threshold: float = 0.5
+    smote_k: int = field(default=5, metadata={"json": ("smote", "k_neighbors"), "ge": 1})
+    smote_ratio: float = field(default=1.0, metadata={"json": ("smote", "target_ratio"), "gt": 0})
+    bootstrap_b: int = field(default=1000, metadata={"ge": 0})
+    kmeans_restarts: int = field(default=10, metadata={"json": ("kmeans", "restarts"), "ge": 1})
+    kmeans_max_iter: int = field(default=300, metadata={"json": ("kmeans", "max_iter"), "ge": 1})
+    kmeans_tol: float = field(default=1e-6, metadata={"json": ("kmeans", "tol"), "ge": 0})
+    index_sample_cap: int = field(default=2048, metadata={"ge": 1})
+    threshold: float = field(default=0.5, metadata={"ge": 0, "le": 1})
 
     def __post_init__(self):
-        for alg in self.algorithms:
-            if alg not in clf.ALGORITHMS:
-                raise ConfigError(f"unknown algorithm {alg!r}")
-        if self.k_fixed is not None and self.k_fixed < 1:
-            raise ConfigError("k_fixed must be >= 1")
-        if not self.pattern_hparams:
-            raise ConfigError("need hyperparameters for at least one pattern")
+        clf.check_fields(self, ConfigError)
         for hparams in (*self.pattern_hparams, self.direct_hparams):
             for alg, params in hparams.items():
                 try:

@@ -1,3 +1,6 @@
+import dataclasses
+import json
+
 import numpy as np
 import pytest
 
@@ -407,12 +410,66 @@ def test_resolve_params_rejects_unknown_keys():
     ("RF", {"min_split": 0}),
     ("GBT", {"min_leaf": 0}),
     ("GBT", {"min_leaf": -3}),
+    # every family: values too low, of the wrong type and non-finite
+    ("LR", {"reg_factor": 0.0}),
+    ("LR", {"max_iter": 0}),
+    ("LR", {"stop_tol": -1.0}),
+    ("LR", {"reg_factor": "10"}),
+    ("LR", {"max_iter": 5.0}),
+    ("LR", {"learning_rate": float("inf")}),
+    ("DT", {"min_split": 0}),
+    ("DT", {"max_depth": 0}),
+    ("DT", {"min_leaf": 1.5}),
+    ("DT", {"min_split": True}),
+    ("RF", {"n_trees": 0}),
+    ("RF", {"max_depth": 0}),
+    ("RF", {"n_trees": 2.0}),
+    ("RF", {"bootstrap": "yes"}),
+    ("KNN", {"n_neighbors": 0}),
+    ("KNN", {"n_neighbors": 2.5}),
+    ("KNN", {"n_neighbors": "3"}),
+    ("MLP", {"hidden": 0}),
+    ("MLP", {"batch_size": 0}),
+    ("MLP", {"max_epochs": 0}),
+    ("MLP", {"learning_rate": -0.1}),
+    ("MLP", {"hidden": 50.0}),
+    ("MLP", {"activation": "relu"}),
+    ("MLP", {"alpha": float("nan")}),
+    ("SVC", {"C": 0.0}),
+    ("SVC", {"gamma": 0}),
+    ("SVC", {"max_sweeps": 0}),
+    ("SVC", {"tol": -1.0}),
+    ("SVC", {"gamma": "auto"}),
+    ("SVC", {"kernel": "linear"}),
+    ("SVC", {"C": float("inf")}),
+    ("GBT", {"learning_rate": 0.0}),
+    ("GBT", {"max_depth": 0}),
+    ("GBT", {"reg_gamma": -0.5}),
+    ("GBT", {"n_trees": "100"}),
+    ("GBT", {"max_depth": 5.5}),
+    ("GBT", {"learning_rate": 1e309}),
+    ("GBT", {"min_child_weight": float("nan")}),
 ])
 def test_rf_gbt_reject_out_of_range_hyperparameters(alg, params):
-    with pytest.raises(TrainingError):
+    # one table over all seven families, checked before any fit starts
+    with pytest.raises(TrainingError, match=next(iter(params))):
         clf.resolve_params(alg, params)
     with pytest.raises(TrainingError):
         clf.fit(alg, SEPARABLE_X, SEPARABLE_Y, params, seed=0)
+
+
+@pytest.mark.parametrize("alg", clf.ALGORITHMS)
+def test_every_family_accepts_its_defaults(alg):
+    defaults = dataclasses.asdict(clf.FAMILIES[alg].params())
+    assert dataclasses.asdict(clf.resolve_params(alg, defaults)) == defaults
+
+
+def test_hyperparameters_are_kept_as_given():
+    # an int for a float hyperparameter is accepted and saved unconverted
+    m = clf.fit("SVC", SEPARABLE_X, SEPARABLE_Y, {"C": 5, "gamma": 1}, seed=0)
+    assert m.hyperparams["C"] == 5 and type(m.hyperparams["C"]) is int
+    assert json.dumps(clf.model_to_dict(m)["hyperparams"], sort_keys=True).startswith(
+        '{"C": 5, "gamma": 1,')
 
 
 @pytest.mark.parametrize("subsample", [None, "sqrt", 1, 2])

@@ -164,12 +164,34 @@ def test_run_misspelt_hyperparameter_exits_2_before_stage1(workspace, tmp_path):
 
 
 @pytest.mark.parametrize("hparams", [{"RF": {"feature_subsample": "log2"}},
-                                     {"RF": {"min_leaf": 0}}, {"GBT": {"min_leaf": -3}}])
+                                     {"RF": {"min_leaf": 0}}, {"GBT": {"min_leaf": -3}},
+                                     {"GBT": {"learning_rate": 1e309}}, {"MLP": {"batch_size": 0}},
+                                     {"LR": {"reg_factor": "10"}}, {"LR": {"max_iter": 0}},
+                                     {"MLP": {"max_epochs": 0}}])
 def test_run_out_of_range_hyperparameter_exits_2_before_stage1(workspace, tmp_path, hparams):
     cfg_path = tmp_path / "config.json"
     cfg_path.write_text(json.dumps({"direct_hparams": hparams}))
     assert run_cli("run", "--data", workspace / "ingest" / "clean.csv",
                    "--config", cfg_path, "--out", tmp_path / "out") == 2
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("doc", [{"threshold": 2}, {"kmeans": {"restarts": 0}},
+                                 {"smote": {"k_neighbors": 0}}, {"split_ratio": 1.5},
+                                 {"bootstrap_b": -5}, {"seed": 1.5}, {"k_range": [5, 2]}])
+def test_run_out_of_range_config_exits_2_before_stage1(workspace, tmp_path, doc):
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(doc))
+    assert run_cli("run", "--data", workspace / "ingest" / "clean.csv",
+                   "--config", cfg_path, "--out", tmp_path / "out") == 2
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("flags", [("--restarts", 0), ("--k-min", 5, "--k-max", 2),
+                                   ("--k-min", 1)])
+def test_cluster_out_of_range_flag_exits_2_before_stage1(workspace, tmp_path, flags):
+    assert run_cli("cluster", "--data", workspace / "ingest" / "clean.csv",
+                   "--out", tmp_path / "out", *flags) == 2
     assert not (tmp_path / "out").exists()
 
 

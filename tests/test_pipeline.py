@@ -247,17 +247,63 @@ def test_config_rejects_misspelt_hyperparameters():
         pl.RunConfig(pattern_hparams=({"RF": {"n_tree": 5}},))
 
 
+@pytest.mark.parametrize("doc, key", [
+    ({"kmeans": {"restarts": 0}}, "kmeans.restarts"),
+    ({"threshold": 2}, "threshold"),
+    ({"split_ratio": 1.5}, "split_ratio"),
+    ({"bootstrap_b": -5}, "bootstrap_b"),
+    ({"seed": 1.5}, "seed"),
+    ({"k_range": [5, 2]}, "k_range"),
+    ({"k_range": [1, 4]}, "k_range"),
+    ({"k_fixed": 0}, "k_fixed"),
+    ({"smote": {"k_neighbors": 0}}, "smote.k_neighbors"),
+    ({"smote": {"target_ratio": float("inf")}}, "smote.target_ratio"),
+    ({"smote": {"enabled": 1}}, "smote.enabled"),
+    ({"kmeans": {"tol": -1e-6}}, "kmeans.tol"),
+    ({"index_sample_cap": 0}, "index_sample_cap"),
+    ({"algorithms": []}, "algorithms"),
+    ({"index_set": ["silhouette", "gap"]}, "index_set"),
+    ({"pattern_hparams": []}, "pattern_hparams"),
+    ({"direct_hparams": {"GBT": {"learning_rate": 1e309}}}, "GBT learning_rate"),
+    ({"pattern_hparams": [{"LR": {"reg_factor": "10"}}]}, "LR reg_factor"),
+])
+def test_config_rejects_out_of_range_values(doc, key):
+    with pytest.raises(ConfigError, match=key):
+        pl.RunConfig.from_dict(doc)
+
+
+def test_config_keeps_values_as_given():
+    doc = {"seed": 3, "smote": {"target_ratio": 1}, "threshold": 0,
+           "direct_hparams": {"SVC": {"C": 5}}}
+    out = pl.RunConfig.from_dict(doc).to_dict()
+    assert type(out["smote"]["target_ratio"]) is int and type(out["threshold"]) is int
+    assert type(out["direct_hparams"]["SVC"]["C"]) is int
+
+
 def test_docs_config_matches_defaults():
     import json
     import re
+    import typing
     from pathlib import Path
 
-    from stratify.classifiers import FAMILIES
+    from stratify import classifiers as clf
 
     doc = (Path(__file__).parent.parent / "docs" / "config.md").read_text()
-    block = re.search(r"```json\n(.*?)```", doc, re.S).group(1)
-    assert json.loads(block) == pl.RunConfig().to_dict()
-    rows = dict(re.findall(r"^\| (\w+) +\| (.*) \|$", doc, re.M))
-    for alg, family in FAMILIES.items():
-        documented = {k: json.loads(v) for k, v in re.findall(r"`(\w+)` \(([^,)\s]+)", rows[alg])}
-        assert documented == dataclasses.asdict(family.params()), alg
+    block = json.loads(re.search(r"```json\n(.*?)```", doc, re.S).group(1))
+    assert pl.RunConfig.from_dict(block).to_dict() == block == pl.RunConfig().to_dict()
+
+    def ranges(cls):
+        hints = typing.get_type_hints(cls)
+        return {f: clf.describe(hints[f.name], f.metadata) for f in dataclasses.fields(cls)}
+
+    # run fields: | `key` | accepted values |
+    documented = dict(re.findall(r"^\| `([\w.]+)` \| (.*) \|$", doc, re.M))
+    assert documented == {".".join(filter(None, pl._location(f))): r
+                          for f, r in ranges(pl.RunConfig).items()}
+    # hyperparameters: | id | `key` | default | accepted values | notes |
+    rows = re.findall(r"^\| (\w+) +\| `(\w+)` +\| (\S+) +\| (.*?) +\|", doc, re.M)
+    for alg, family in clf.FAMILIES.items():
+        defaults = dataclasses.asdict(family.params())
+        documented = {key: (json.loads(d), r) for a, key, d, r in rows if a == alg}
+        assert documented == {f.name: (defaults[f.name], r)
+                              for f, r in ranges(family.params).items()}, alg

@@ -1,0 +1,88 @@
+"""Run the fixed reference sequence and print one digest over its artifacts.
+
+A refactor that must leave outputs unchanged can be checked by running this
+script on the code before and after it: the artifact count and the digest
+must match. The sequence, on a ``separated2`` cohort of 800 rows with seed 3:
+
+    synth, ingest, cluster, cluster --k-fixed 2,
+    run (all seven algorithms, K fixed at 2, bootstrap B = 50,
+         default hyperparameters with RF n_trees 5, MLP max_epochs 10 and
+         SVC max_sweeps 20),
+    explain --pattern 0 --n-explain 20 --background 30
+
+The digest is the sha256 of the sorted ``<command dir>/<artifact> <sha256>``
+lines taken from the ``artifacts`` map of every manifest; timestamps and other
+manifest fields are left out. Run it from the repository root:
+
+    PYTHONPATH=src python tools/reference_run.py
+
+Point PYTHONPATH at another checkout's ``src`` to digest that code instead.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import json
+import sys
+import tempfile
+from pathlib import Path
+
+from stratify import cli, pipeline
+
+SEED = 3
+
+
+def _config() -> dict:
+    cfg = pipeline.RunConfig(seed=SEED, k_fixed=2, bootstrap_b=50).to_dict()
+    for hparams in (*cfg["pattern_hparams"], cfg["direct_hparams"]):
+        hparams["RF"] = {**hparams["RF"], "n_trees": 5}
+        hparams["MLP"] = {**hparams["MLP"], "max_epochs": 10}
+        hparams["SVC"] = {**hparams["SVC"], "max_sweeps": 20}
+    return cfg
+
+
+def reference_artifacts(root) -> dict:
+    """Run the sequence under ``root``; return {"<dir>/<artifact>": sha256}."""
+    root = Path(root)
+    cfg_path = root / "config.json"
+    cfg_path.write_text(json.dumps(_config()))
+    clean = root / "ingest" / "clean.csv"
+    steps = [
+        ["synth", "--profile", "separated2", "--n", "800", "--out", root / "synth"],
+        ["ingest", "--data", root / "synth" / "synth_cohort.csv", "--out", root / "ingest"],
+        ["cluster", "--data", clean, "--out", root / "cluster"],
+        ["cluster", "--data", clean, "--k-fixed", "2", "--out", root / "cluster_k2"],
+        ["run", "--data", clean, "--config", cfg_path, "--out", root / "run"],
+        ["explain", "--run-dir", root / "run", "--pattern", "0", "--n-explain", "20",
+         "--background", "30"],
+    ]
+    for step in steps:
+        argv = [str(a) for a in step] + ["--seed", str(SEED)]
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = cli.main(argv)
+        if code != 0:
+            raise SystemExit(f"stratify {' '.join(argv)} exited {code}")
+    out = {}
+    for manifest in sorted(root.rglob("manifest.json")):
+        base = manifest.parent.relative_to(root).as_posix()
+        for rel, sha in json.loads(manifest.read_text())["artifacts"].items():
+            out[f"{base}/{rel}"] = sha
+    return out
+
+
+def digest(artifacts: dict) -> str:
+    lines = "".join(f"{k} {v}\n" for k, v in sorted(artifacts.items()))
+    return hashlib.sha256(lines.encode()).hexdigest()
+
+
+def main() -> int:
+    with tempfile.TemporaryDirectory(prefix="stratify-reference-") as tmp:
+        artifacts = reference_artifacts(tmp)
+    print(f"{len(artifacts)} artifacts  sha256 {digest(artifacts)}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
