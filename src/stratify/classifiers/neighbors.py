@@ -8,25 +8,19 @@ stable ``argsort``. The neighbor order is exact: (squared distance, index), so
 equidistant rows resolve toward the lower index.
 
 The stored training set is the KNN model. At 10-ish features and up to ~1e5
-rows the blocked dense search is cheap, so the tree-search tuning knob
-(`leaf_size`) is accepted for config compatibility and ignored.
+rows the blocked dense search is cheap, so there is no search tree to tune.
 """
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass, field
 
 import numpy as np
-
-log = logging.getLogger(__name__)
 
 
 @dataclass
 class KNNParams:
     n_neighbors: int = field(default=5, metadata={"ge": 1})
-    # accepted and ignored: neighbor search is brute force
-    leaf_size: int = field(default=30, metadata={"ge": 1})
 
 
 @dataclass
@@ -41,9 +35,6 @@ class KNNState:
 
 
 def fit_knn(X, y, params: KNNParams, seed: int):
-    if params.leaf_size != 30:
-        log.info("leaf_size=%d accepted but ignored (brute-force neighbor search)",
-                 params.leaf_size)
     k = min(params.n_neighbors, X.shape[0])
     return KNNState(X.copy(), y.copy(), k), {}
 

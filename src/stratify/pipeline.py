@@ -34,7 +34,7 @@ DEFAULT_PATTERN_HPARAMS = (
         "LR": {"reg_factor": 10.0, "stop_tol": 0.002},
         "DT": {"min_split": 2, "min_leaf": 2},
         "RF": {"n_trees": 2, "max_depth": 2, "min_leaf": 13},
-        "KNN": {"n_neighbors": 3, "leaf_size": 2},
+        "KNN": {"n_neighbors": 3},
         "MLP": {"alpha": 0.1, "hidden": 50},
         "SVC": {"C": 5.0},
         "GBT": {"max_depth": 5, "n_trees": 100, "max_iterations": 50},
@@ -43,7 +43,7 @@ DEFAULT_PATTERN_HPARAMS = (
         "LR": {"reg_factor": 0.1, "stop_tol": 0.002},
         "DT": {"min_split": 2, "min_leaf": 3},
         "RF": {"n_trees": 200, "max_depth": 7, "min_leaf": 12},
-        "KNN": {"n_neighbors": 20, "leaf_size": 3},
+        "KNN": {"n_neighbors": 20},
         "MLP": {"alpha": 0.01, "hidden": 50},
         "SVC": {"C": 5.0},
         "GBT": {"max_depth": 7, "n_trees": 60, "max_iterations": 50},
@@ -54,7 +54,7 @@ DEFAULT_DIRECT_HPARAMS = {
     "LR": {"reg_factor": 10.0, "stop_tol": 0.002},
     "DT": {"min_split": 2, "min_leaf": 1},
     "RF": {"n_trees": 2, "max_depth": 2, "min_leaf": 13},
-    "KNN": {"n_neighbors": 2, "leaf_size": 3},
+    "KNN": {"n_neighbors": 2},
     "MLP": {"alpha": 0.1, "hidden": 50},
     "SVC": {"C": 5.0},
     "GBT": {"max_depth": 5, "n_trees": 20, "max_iterations": 50},

@@ -245,6 +245,8 @@ def test_config_rejects_misspelt_hyperparameters():
         pl.RunConfig.from_dict({"direct_hparams": {"DT": {"min_splt": 2}}})
     with pytest.raises(ConfigError, match="n_tree"):
         pl.RunConfig(pattern_hparams=({"RF": {"n_tree": 5}},))
+    with pytest.raises(ConfigError, match="leaf_size"):  # removed: it was never read
+        pl.RunConfig.from_dict({"direct_hparams": {"KNN": {"leaf_size": 30}}})
 
 
 @pytest.mark.parametrize("doc, key", [
