@@ -3,7 +3,11 @@
 ``kmeans_fit`` runs Lloyd's algorithm with k-means++ initialization and several
 restarts, keeping the restart with the lowest inertia. ``select_k`` fits a range
 of K values and lets ten cluster validity indices vote; the winner is the K
-chosen most often, ties broken toward smaller K.
+chosen most often, ties broken toward smaller K. ``INDICES`` gives each index
+its vote rule and its input: the pair indices (silhouette, dunn, c_index,
+mcclain, point_biserial) read a capped subsample of rows, whose distance matrix,
+condensed pair distances and same-cluster mask are built once per K and shared;
+the others read every row or the W_k sequence.
 
 Index definitions (d = Euclidean distance, W_k = within-cluster sum of squared
 distances to centroids at K=k, n = sample count, p = feature count):
@@ -35,35 +39,12 @@ distances to centroids at K=k, n = sample count, p = feature count):
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from .errors import ClusteringError
 from .rng import derive_rng
-
-ALL_INDICES = (
-    "silhouette", "calinski_harabasz", "davies_bouldin", "dunn", "c_index",
-    "mcclain", "point_biserial", "ball", "hartigan", "krzanowski_lai",
-)
-
-# selection rule per index: best K maximizes / minimizes the value, or sits at
-# the largest (absolute) successive difference
-VOTE_RULES = {
-    "silhouette": "max",
-    "calinski_harabasz": "max",
-    "dunn": "max",
-    "point_biserial": "max",
-    "krzanowski_lai": "max",
-    "davies_bouldin": "min",
-    "c_index": "min",
-    "mcclain": "min",
-    "ball": "drop",
-    "hartigan": "absdiff",
-}
-
-# indices whose cost is quadratic in n; select_k evaluates them on a capped
-# subsample of rows
-PAIRWISE_INDICES = frozenset({"silhouette", "dunn", "c_index", "mcclain", "point_biserial"})
 
 
 @dataclass(frozen=True)
@@ -143,15 +124,21 @@ def _kmeanspp(X, k, rng, n_candidates: int = 10, first_idx: int | None = None):
     return centroids
 
 
+def _assign(X, centroids, xx):
+    # nearest centroid per row (argmin takes the lowest index on ties) and the cost
+    d2 = _sq_dists(X, centroids, xx)
+    labels = d2.argmin(axis=1)
+    return d2, labels, float(d2[np.arange(X.shape[0]), labels].sum())
+
+
 def _lloyd(X, centroids, max_iter, tol):
     n, k = X.shape[0], centroids.shape[0]
     labels = np.full(n, -1)
     prev_cost = np.inf
     xx = (X * X).sum(1)
+    it = max_iter  # max_iter 0 skips the loop
     for it in range(1, max_iter + 1):
-        d2 = _sq_dists(X, centroids, xx)
-        new_labels = d2.argmin(axis=1)  # argmin takes the lowest index on ties
-        cost = float(d2[np.arange(n), new_labels].sum())
+        d2, new_labels, cost = _assign(X, centroids, xx)
         # Lloyd monotonicity: each assignment step can only lower the cost
         if not cost <= prev_cost + 1e-8 * max(1.0, abs(prev_cost)):  # NaN fails too
             raise ClusteringError(f"Lloyd inertia increased from {prev_cost!r} to {cost!r}")
@@ -175,14 +162,9 @@ def _lloyd(X, centroids, max_iter, tol):
         shift = np.sqrt(((new_centroids - centroids) ** 2).sum(axis=1)).max()
         centroids = new_centroids
         if shift < tol and not len(empties):
-            d2 = _sq_dists(X, centroids, xx)
-            labels = d2.argmin(axis=1)
-            cost = float(d2[np.arange(n), labels].sum())
-            return labels, centroids, cost, it
-    d2 = _sq_dists(X, centroids, xx)
-    labels = d2.argmin(axis=1)
-    cost = float(d2[np.arange(n), labels].sum())
-    return labels, centroids, cost, max_iter
+            break
+    _, labels, cost = _assign(X, centroids, xx)
+    return labels, centroids, cost, it
 
 
 def kmeans_fit(X, k: int, seed: int, n_restarts: int = 10, max_iter: int = 300,
@@ -248,43 +230,42 @@ def pairwise_distances(X) -> np.ndarray:
     return np.sqrt(d2)
 
 
-def total_inertia(X, labels, k: int | None = None) -> float:
-    """Within-cluster sum of squared distances to cluster means."""
-    X = np.asarray(X, dtype=np.float64)
-    labels = np.asarray(labels)
-    k = int(labels.max()) + 1 if k is None else k
-    w = 0.0
-    for c in range(k):
-        pts = X[labels == c]
-        if len(pts):
-            w += float(((pts - pts.mean(axis=0)) ** 2).sum())
-    return w
+def _pairs(D, labels):
+    """Condensed upper-triangle distances of ``D`` and the same-cluster mask."""
+    iu, ju = np.triu_indices(len(labels), 1)
+    return D[iu, ju], labels[iu] == labels[ju]
 
 
-def _check_partition(X, labels):
-    X = _check_matrix(X)
-    labels = np.asarray(labels)
-    if len(labels) != X.shape[0]:
-        raise ClusteringError("labels must align with rows")
-    k = int(labels.max()) + 1
-    sizes = np.bincount(labels, minlength=k)
-    if k < 2:
-        raise ClusteringError("validity indices need at least two clusters")
-    if (sizes == 0).any():
-        raise ClusteringError("every cluster must be nonempty")
-    return X, labels, k, sizes
+class _Partition:
+    """A checked partition; its distance matrix and pairs are built at most once."""
+
+    def __init__(self, X, labels, dists=None):
+        X = _check_matrix(X)
+        labels = np.asarray(labels)
+        if len(labels) != X.shape[0]:
+            raise ClusteringError("labels must align with rows")
+        k = int(labels.max()) + 1
+        sizes = np.bincount(labels, minlength=k)
+        if k < 2:
+            raise ClusteringError("validity indices need at least two clusters")
+        if (sizes == 0).any():
+            raise ClusteringError("every cluster must be nonempty")
+        self.X, self.labels, self.k, self.sizes = X, labels, k, sizes
+        if dists is not None:
+            self.D = dists
+
+    @cached_property
+    def D(self) -> np.ndarray:
+        return pairwise_distances(self.X)
+
+    @cached_property
+    def pairs(self) -> tuple[np.ndarray, np.ndarray]:
+        return _pairs(self.D, self.labels)
 
 
-def _within_between_masks(labels, n):
-    iu, ju = np.triu_indices(n, 1)
-    same = labels[iu] == labels[ju]
-    return iu, ju, same
-
-
-def silhouette_index(X, labels, dists=None) -> float:
-    X, labels, k, sizes = _check_partition(X, labels)
-    n = X.shape[0]
-    D = pairwise_distances(X) if dists is None else dists
+def _silhouette(part: _Partition) -> float:
+    D, labels, k, sizes = part.D, part.labels, part.k, part.sizes
+    n = len(labels)
     sums = np.empty((n, k))
     for c in range(k):
         sums[:, c] = D[:, labels == c].sum(axis=1)
@@ -299,8 +280,8 @@ def silhouette_index(X, labels, dists=None) -> float:
     return float(s.mean())
 
 
-def calinski_harabasz_index(X, labels, dists=None) -> float:
-    X, labels, k, sizes = _check_partition(X, labels)
+def _calinski_harabasz(part: _Partition) -> float:
+    X, labels, k = part.X, part.labels, part.k
     n = X.shape[0]
     grand = X.mean(axis=0)
     w, b = 0.0, 0.0
@@ -314,8 +295,8 @@ def calinski_harabasz_index(X, labels, dists=None) -> float:
     return (b / (k - 1)) / (w / (n - k))
 
 
-def davies_bouldin_index(X, labels, dists=None) -> float:
-    X, labels, k, sizes = _check_partition(X, labels)
+def _davies_bouldin(part: _Partition) -> float:
+    X, labels, k = part.X, part.labels, part.k
     centroids = np.array([X[labels == c].mean(axis=0) for c in range(k)])
     spreads = np.array([
         float(np.sqrt(((X[labels == c] - centroids[c]) ** 2).sum(axis=1)).mean())
@@ -330,12 +311,8 @@ def davies_bouldin_index(X, labels, dists=None) -> float:
     return float(worst.mean())
 
 
-def dunn_index(X, labels, dists=None) -> float:
-    X, labels, k, _ = _check_partition(X, labels)
-    D = pairwise_distances(X) if dists is None else dists
-    n = X.shape[0]
-    iu, ju, same = _within_between_masks(labels, n)
-    vals = D[iu, ju]
+def _dunn(part: _Partition) -> float:
+    vals, same = part.pairs
     diam = vals[same].max() if same.any() else 0.0
     min_between = vals[~same].min() if (~same).any() else 0.0
     if diam == 0:
@@ -343,12 +320,8 @@ def dunn_index(X, labels, dists=None) -> float:
     return float(min_between / diam)
 
 
-def c_index(X, labels, dists=None) -> float:
-    X, labels, k, _ = _check_partition(X, labels)
-    D = pairwise_distances(X) if dists is None else dists
-    n = X.shape[0]
-    iu, ju, same = _within_between_masks(labels, n)
-    vals = D[iu, ju]
+def _c_index(part: _Partition) -> float:
+    vals, same = part.pairs
     n_w = int(same.sum())
     if n_w == 0 or n_w == len(vals):
         return 0.0
@@ -361,12 +334,8 @@ def c_index(X, labels, dists=None) -> float:
     return (s_w - s_min) / (s_max - s_min)
 
 
-def mcclain_index(X, labels, dists=None) -> float:
-    X, labels, k, _ = _check_partition(X, labels)
-    D = pairwise_distances(X) if dists is None else dists
-    n = X.shape[0]
-    iu, ju, same = _within_between_masks(labels, n)
-    vals = D[iu, ju]
+def _mcclain(part: _Partition) -> float:
+    vals, same = part.pairs
     n_w, n_b = int(same.sum()), int((~same).sum())
     if n_w == 0 or n_b == 0:
         return 0.0
@@ -376,37 +345,56 @@ def mcclain_index(X, labels, dists=None) -> float:
     return float((vals[same].mean()) / mean_b)
 
 
-def point_biserial_index(X, labels, dists=None) -> float:
-    X, labels, k, _ = _check_partition(X, labels)
-    D = pairwise_distances(X) if dists is None else dists
-    n = X.shape[0]
-    iu, ju, same = _within_between_masks(labels, n)
-    vals = D[iu, ju]
+def _point_biserial(part: _Partition) -> float:
+    vals, same = part.pairs
     between = (~same).astype(np.float64)
     if vals.std() == 0 or between.std() == 0:
         return 0.0
     return float(np.corrcoef(vals, between)[0, 1])
 
 
-def ball_index(X, labels, dists=None) -> float:
-    X, labels, k, _ = _check_partition(X, labels)
-    return total_inertia(X, labels, k) / k
+def _ball(part: _Partition) -> float:
+    w = 0.0
+    for c in range(part.k):
+        pts = part.X[part.labels == c]
+        w += float(((pts - pts.mean(axis=0)) ** 2).sum())
+    return w / part.k
 
 
-def hartigan_from_inertia(inertias: dict, k: int, n: int) -> float:
+def _hartigan(inertias: dict, k: int, n: int, p: int) -> float:
     w_k, w_k1 = inertias[k], inertias[k + 1]
     if w_k1 == 0:
         return float("inf") if w_k > 0 else 0.0
     return (w_k / w_k1 - 1.0) * (n - k - 1)
 
 
-def krzanowski_lai_from_inertia(inertias: dict, k: int, p: int) -> float:
+def _krzanowski_lai(inertias: dict, k: int, n: int, p: int) -> float:
     def diff(m):
         return (m - 1) ** (2.0 / p) * inertias[m - 1] - m ** (2.0 / p) * inertias[m]
     num, den = abs(diff(k)), abs(diff(k + 1))
     if den == 0:
         return float("inf") if num > 0 else 0.0
     return num / den
+
+
+# index -> (vote rule, input, function). Rules: the best K maximizes or
+# minimizes the value, or sits at the largest drop ("drop") or largest absolute
+# change ("absdiff") between consecutive K. Inputs: "pairs" reads distances on
+# select_k's capped subsample of rows (its cost is quadratic in n), "rows" reads
+# every row, "inertia" reads the W_k sequence at the K that was fitted.
+INDICES = {
+    "silhouette": ("max", "pairs", _silhouette),
+    "calinski_harabasz": ("max", "rows", _calinski_harabasz),
+    "davies_bouldin": ("min", "rows", _davies_bouldin),
+    "dunn": ("max", "pairs", _dunn),
+    "c_index": ("min", "pairs", _c_index),
+    "mcclain": ("min", "pairs", _mcclain),
+    "point_biserial": ("max", "pairs", _point_biserial),
+    "ball": ("drop", "rows", _ball),
+    "hartigan": ("absdiff", "inertia", _hartigan),
+    "krzanowski_lai": ("max", "inertia", _krzanowski_lai),
+}
+ALL_INDICES = tuple(INDICES)
 
 
 def validity_index(X, labels, index_id: str, dists=None, inertias=None) -> float:
@@ -416,26 +404,19 @@ def validity_index(X, labels, index_id: str, dists=None, inertias=None) -> float
     within-cluster sums of squares of neighboring K values, passed as
     ``inertias`` ({k: W_k} covering k-1..k+1 as applicable).
     """
-    simple = {
-        "silhouette": silhouette_index,
-        "calinski_harabasz": calinski_harabasz_index,
-        "davies_bouldin": davies_bouldin_index,
-        "dunn": dunn_index,
-        "c_index": c_index,
-        "mcclain": mcclain_index,
-        "point_biserial": point_biserial_index,
-        "ball": ball_index,
-    }
-    if index_id in simple:
-        return simple[index_id](X, labels, dists=dists)
-    if index_id in ("hartigan", "krzanowski_lai"):
-        if inertias is None:
-            raise ClusteringError(f"{index_id} needs the inertia sequence of neighboring K")
-        X, labels, k, _ = _check_partition(X, labels)
-        if index_id == "hartigan":
-            return hartigan_from_inertia(inertias, k, X.shape[0])
-        return krzanowski_lai_from_inertia(inertias, k, X.shape[1])
-    raise ClusteringError(f"unknown validity index {index_id!r}")
+    if index_id not in INDICES:
+        raise ClusteringError(f"unknown validity index {index_id!r}")
+    _, source, fn = INDICES[index_id]
+    if source != "inertia":
+        return fn(_Partition(X, labels, dists))
+    if inertias is None:
+        raise ClusteringError(f"{index_id} needs the inertia sequence of neighboring K")
+    part = _Partition(X, labels)
+    return fn(inertias, part.k, *part.X.shape)
+
+
+def silhouette_index(X, labels, dists=None) -> float:
+    return validity_index(X, labels, "silhouette", dists)
 
 
 # ---------------------------------------------------------------------------
@@ -463,7 +444,7 @@ class KSelectionReport:
 
 
 def _vote_for(index_id: str, in_range: dict, extended: dict) -> int | None:
-    rule = VOTE_RULES[index_id]
+    rule = INDICES[index_id][0]
     ks = sorted(k for k, v in in_range.items() if v is not None and not np.isnan(v))
     if not ks:
         return None
@@ -491,21 +472,22 @@ def select_k(X, k_range: tuple[int, int] = (2, 8), index_set=ALL_INDICES, seed: 
     """Fit K-means across ``k_range`` and pick K by index majority vote.
 
     Pairwise-distance indices are evaluated on a seeded subsample of up to
-    ``sample_cap`` rows (topped up so every cluster stays represented); the
-    inertia-based indices always use the full data. Returns the report and the
-    fitted models keyed by K.
+    ``sample_cap`` rows (topped up so every cluster stays represented), whose
+    distances and pairs are built once per K; the other indices always use the
+    full data. Returns the report and the fitted models keyed by K.
     """
     X = _check_matrix(X)
     if not index_set:
         raise ClusteringError("empty index set")
     for idx in index_set:
-        if idx not in ALL_INDICES:
+        if idx not in INDICES:
             raise ClusteringError(f"unknown validity index {idx!r}")
     n, p = X.shape
     k_min, k_max = k_range
     if not (2 <= k_min <= k_max <= n - 1):
         raise ClusteringError(f"k range {k_range} must sit within [2, n-1]")
 
+    # k_min - 1 .. k_max + 1 (W_1 is analytic): the sequence indices read both neighbours
     fit_ks = [k for k in range(max(2, k_min - 1), min(n, k_max + 1) + 1)]
     models = {k: kmeans_fit(X, k, seed, n_restarts, max_iter, tol) for k in fit_ks}
     inertias = {k: m.inertia for k, m in models.items()}
@@ -518,45 +500,29 @@ def select_k(X, k_range: tuple[int, int] = (2, 8), index_set=ALL_INDICES, seed: 
 
     report = KSelectionReport(k_range=(k_min, k_max))
     report.inertia = dict(sorted(inertias.items()))
-    extended: dict[str, dict] = {idx: {} for idx in index_set}
 
     for k in range(k_min, k_max + 1):
         labels = _compress_labels(models[k].fit_labels)
-        if any(idx in PAIRWISE_INDICES for idx in index_set):
-            if base_sub is None:
-                sub_idx = np.arange(n)
-            else:
-                # top up so every cluster stays represented in the subsample
-                present = set(np.unique(labels[base_sub]).tolist())
-                forced = [int(np.flatnonzero(labels == c)[0])
-                          for c in range(int(labels.max()) + 1) if c not in present]
-                sub_idx = base_sub if not forced else np.sort(
-                    np.concatenate([base_sub, np.array(forced, dtype=np.int64)]))
-            sub_X, sub_labels = X[sub_idx], _compress_labels(labels[sub_idx])
-            sub_D = pairwise_distances(sub_X)
+        sub_idx = np.arange(n)
+        if base_sub is not None:
+            # top up so every cluster stays represented in the subsample
+            present = set(np.unique(labels[base_sub]).tolist())
+            forced = [int(np.flatnonzero(labels == c)[0])
+                      for c in range(int(labels.max()) + 1) if c not in present]
+            sub_idx = base_sub if not forced else np.sort(
+                np.concatenate([base_sub, np.array(forced, dtype=np.int64)]))
+        parts = {"rows": _Partition(X, labels),
+                 "pairs": _Partition(X[sub_idx], _compress_labels(labels[sub_idx]))}
         for idx in index_set:
-            if idx in PAIRWISE_INDICES:
-                val = validity_index(sub_X, sub_labels, idx, dists=sub_D)
-            elif idx in ("hartigan", "krzanowski_lai"):
-                try:
-                    val = (hartigan_from_inertia(inertias, k, n) if idx == "hartigan"
-                           else krzanowski_lai_from_inertia(inertias, k, p))
-                except KeyError:
-                    val = float("nan")
-            else:
-                val = validity_index(X, labels, idx)
+            _, source, fn = INDICES[idx]
+            val = fn(inertias, k, n, p) if source == "inertia" else fn(parts[source])
             report.values.setdefault(idx, {})[k] = float(val)
 
     # hartigan's elbow extends down to k_min - 1 (its K=1 value is analytic);
     # ball scans only the requested range, so its first K is never votable
-    if "hartigan" in index_set and k_min - 1 >= 1:
-        try:
-            extended["hartigan"][k_min - 1] = hartigan_from_inertia(inertias, k_min - 1, n)
-        except KeyError:
-            pass
-
+    extended = {"hartigan": {k_min - 1: _hartigan(inertias, k_min - 1, n, p)}}
     for idx in index_set:
-        report.votes[idx] = _vote_for(idx, report.values[idx], extended[idx])
+        report.votes[idx] = _vote_for(idx, report.values[idx], extended.get(idx, {}))
     tally: dict[int, int] = {}
     for v in report.votes.values():
         if v is not None:
