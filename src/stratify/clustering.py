@@ -230,12 +230,6 @@ def pairwise_distances(X) -> np.ndarray:
     return np.sqrt(d2)
 
 
-def _pairs(D, labels):
-    """Condensed upper-triangle distances of ``D`` and the same-cluster mask."""
-    iu, ju = np.triu_indices(len(labels), 1)
-    return D[iu, ju], labels[iu] == labels[ju]
-
-
 class _Partition:
     """A checked partition; its distance matrix and pairs are built at most once."""
 
@@ -260,7 +254,9 @@ class _Partition:
 
     @cached_property
     def pairs(self) -> tuple[np.ndarray, np.ndarray]:
-        return _pairs(self.D, self.labels)
+        """Condensed upper-triangle distances and the same-cluster mask."""
+        iu, ju = np.triu_indices(len(self.labels), 1)
+        return self.D[iu, ju], self.labels[iu] == self.labels[ju]
 
 
 def _silhouette(part: _Partition) -> float:
