@@ -46,10 +46,14 @@ def _resolve_gamma(X, gamma):
     return float(gamma)
 
 
+def _rbf(A, B, gamma, aa, bb):
+    # K[a, b] = exp(-gamma ||a - b||^2) from the squared row norms aa and bb
+    return np.exp(-gamma * np.maximum(aa[:, None] - 2.0 * (A @ B.T) + bb[None, :], 0.0))
+
+
 def _rbf_columns(X, idx, gamma, sq):
     # kernel columns K[:, idx] computed on demand; K_ii = 1 for RBF
-    d2 = sq[:, None] - 2.0 * (X @ X[idx].T) + sq[idx][None, :]
-    return np.exp(-gamma * np.maximum(d2, 0.0))
+    return _rbf(X, X[idx], gamma, sq, sq[idx])
 
 
 def fit_svc(X, y01, params: SVCParams, seed: int):
@@ -60,8 +64,7 @@ def fit_svc(X, y01, params: SVCParams, seed: int):
     rng = derive_rng(seed, "svc_smo")
     sq = (X * X).sum(1)
     # full Gram only when it is small; otherwise columns on demand
-    gram = np.exp(-gamma * np.maximum(sq[:, None] - 2.0 * (X @ X.T) + sq[None, :], 0.0)) \
-        if n <= 2048 else None
+    gram = _rbf(X, X, gamma, sq, sq) if n <= 2048 else None
 
     def col(i):
         if gram is not None:
@@ -123,9 +126,8 @@ def fit_svc(X, y01, params: SVCParams, seed: int):
 
 
 def decision_function(state: SVCState, X) -> np.ndarray:
-    sq_sv = (state.support_X * state.support_X).sum(1)
-    d2 = (X * X).sum(1)[:, None] - 2.0 * (X @ state.support_X.T) + sq_sv[None, :]
-    K = np.exp(-state.gamma * np.maximum(d2, 0.0))
+    K = _rbf(X, state.support_X, state.gamma, (X * X).sum(1),
+             (state.support_X * state.support_X).sum(1))
     return K @ state.dual_coef + state.bias
 
 

@@ -79,8 +79,8 @@ def cmd_cluster(args) -> int:
     cfg = pipeline.RunConfig(seed=args.seed, k_range=(args.k_min, args.k_max),
                              k_fixed=args.k_fixed, kmeans_restarts=args.restarts)
     dataset, _ = _load_dataset(args)
-    rundir = reports.RunDirectory(args.out)
     _, assignment, kselect = pipeline.stage1(dataset, cfg)
+    rundir = reports.RunDirectory(args.out)
     reports.write_patterns_csv(rundir, assignment)
     if kselect is not None:
         reports.write_kselect_json(rundir, kselect)
@@ -104,12 +104,12 @@ def cmd_run(args) -> int:
     started = time.time()
     cfg = _build_config(args)
     dataset, schema = _load_dataset(args)
+    # stage 1 first: a K range the data cannot hold fails before anything is written
+    stage1_result = pipeline.stage1(dataset, cfg)
+    model, assignment, kselect = stage1_result
     rundir = reports.RunDirectory(args.out)
     ds_mod.save_dataset_csv(rundir.path("data.csv"), dataset)
     reports.write_json(rundir.path("schema.json"), schema.to_dict())
-
-    stage1_result = pipeline.stage1(dataset, cfg)
-    model, assignment, kselect = stage1_result
     reports.write_patterns_csv(rundir, assignment)
     if kselect is not None:
         reports.write_kselect_json(rundir, kselect)
@@ -175,8 +175,8 @@ def cmd_explain(args) -> int:
     train_rows = np.array(entry["train_rows"])
     train = dataset.take(train_rows)
     norm = ds_mod.fit_normalizer(train)
-    Xb = ds_mod.apply_normalizer(norm, train).X[:, behavior]
-    yb = train.y
+    X_train_norm = ds_mod.apply_normalizer(norm, train).X[:, behavior]
+    Xb, yb = X_train_norm, train.y
     if cfg.smote_enabled:
         from .resampling import smote
         res = smote(Xb, yb, cfg.smote_k, cfg.smote_ratio,
@@ -189,7 +189,6 @@ def cmd_explain(args) -> int:
     # background and explained rows are real training rows, never synthetic ones
     rng = derive_rng(cfg.seed, "explain_sample", args.pattern)
     n_train = len(train_rows)
-    X_train_norm = ds_mod.apply_normalizer(norm, train).X[:, behavior]
     background = X_train_norm[np.sort(rng.choice(n_train, min(args.background, n_train),
                                                  replace=False))]
     X_explain = X_train_norm[np.sort(rng.choice(n_train, min(args.n_explain, n_train),

@@ -178,7 +178,8 @@ def test_run_out_of_range_hyperparameter_exits_2_before_stage1(workspace, tmp_pa
 
 @pytest.mark.parametrize("doc", [{"threshold": 2}, {"kmeans": {"restarts": 0}},
                                  {"smote": {"k_neighbors": 0}}, {"split_ratio": 1.5},
-                                 {"bootstrap_b": -5}, {"seed": 1.5}, {"k_range": [5, 2]}])
+                                 {"bootstrap_b": -5}, {"seed": 1.5}, {"k_range": [5, 2]},
+                                 {"k_range": [2, 2000]}, {"k_fixed": 5000}])
 def test_run_out_of_range_config_exits_2_before_stage1(workspace, tmp_path, doc):
     cfg_path = tmp_path / "config.json"
     cfg_path.write_text(json.dumps(doc))
@@ -188,7 +189,7 @@ def test_run_out_of_range_config_exits_2_before_stage1(workspace, tmp_path, doc)
 
 
 @pytest.mark.parametrize("flags", [("--restarts", 0), ("--k-min", 5, "--k-max", 2),
-                                   ("--k-min", 1)])
+                                   ("--k-min", 1), ("--k-max", 5000), ("--k-fixed", 5000)])
 def test_cluster_out_of_range_flag_exits_2_before_stage1(workspace, tmp_path, flags):
     assert run_cli("cluster", "--data", workspace / "ingest" / "clean.csv",
                    "--out", tmp_path / "out", *flags) == 2
