@@ -128,16 +128,46 @@ def test_select_k_report_complete(rng):
     assert report.tally[report.winner] == max(report.tally.values())
 
 
-def test_select_k_tie_breaks_toward_smaller():
-    report = cl.KSelectionReport(k_range=(2, 4))
-    # construct a tally tie by hand through the vote helper
-    votes = {"a": 2, "b": 3, "c": 2, "d": 3}
-    tally = {}
-    for v in votes.values():
-        tally[v] = tally.get(v, 0) + 1
-    best = max(tally.values())
-    winner = min(k for k, c in tally.items() if c == best)
-    assert winner == 2
+def test_select_k_tie_breaks_toward_smaller(rng, monkeypatch):
+    # rig the per-index votes into a 2-2 tie; select_k's own tally must pick K=2
+    rigged = {"silhouette": 3, "dunn": 3, "c_index": 2, "mcclain": 2}
+    monkeypatch.setattr(cl, "_vote_for", lambda idx, in_range, extended: rigged[idx])
+    report, _ = cl.select_k(rng.normal(size=(30, 2)), (2, 3), index_set=tuple(rigged),
+                            seed=0, n_restarts=1)
+    assert report.votes == rigged
+    assert report.tally == {2: 2, 3: 2}
+    assert report.winner == 2
+
+
+PAIR_ORACLES = {"silhouette": oracles.silhouette, "dunn": oracles.dunn,
+                "c_index": oracles.c_index, "mcclain": oracles.mcclain,
+                "point_biserial": oracles.point_biserial}
+
+
+def test_select_k_pair_indices_read_a_topped_up_subsample(rng, monkeypatch):
+    # 200 rows over a cap of 40: two blobs plus a far cluster of two rows
+    # (198, 199) that seed 0's base subsample misses, so every K tops it up
+    X = np.vstack([rng.normal(size=(99, 2)), rng.normal(size=(99, 2)) + 8.0,
+                   rng.normal(size=(2, 2)) * 0.1 + 60.0])
+    row_of = {r.tobytes(): i for i, r in enumerate(X)}
+    read = []
+    real = cl.pairwise_distances
+
+    def recording(Xs):
+        read.append(np.array([row_of[r.tobytes()] for r in Xs]))
+        return real(Xs)
+
+    monkeypatch.setattr(cl, "pairwise_distances", recording)
+    report, models = cl.select_k(X, (2, 4), index_set=tuple(PAIR_ORACLES), seed=0,
+                                 n_restarts=2, sample_cap=40)
+    assert len(read) == 3  # one distance matrix per K
+    for k, rows in zip((2, 3, 4), read):
+        labels = models[k].fit_labels
+        assert len(rows) == 41 and 198 in rows  # the base 40 rows plus one forced
+        assert set(labels[rows].tolist()) == set(range(k))
+        for idx, oracle in PAIR_ORACLES.items():
+            want = oracle(X[rows], labels[rows].tolist())
+            assert report.values[idx][k] == pytest.approx(want, abs=1e-9), (idx, k)
 
 
 def test_select_k_rejects_bad_input(rng):
