@@ -10,6 +10,10 @@ must match. The sequence, on a ``separated2`` cohort of 800 rows with seed 3:
          SVC max_sweeps 20),
     explain --pattern 0 --n-explain 20 --background 30
 
+then synth, ingest and cluster on a ``separated2`` cohort of 3,000 rows, which
+is above ``select_k``'s 2,048-row sample cap, so the subsample and its top-up
+are digested too.
+
 The digest is the sha256 of the sorted ``<command dir>/<artifact> <sha256>``
 lines taken from the ``artifacts`` map of every manifest; timestamps and other
 manifest fields are left out. Run it from the repository root:
@@ -57,6 +61,10 @@ def reference_artifacts(root) -> dict:
         ["run", "--data", clean, "--config", cfg_path, "--out", root / "run"],
         ["explain", "--run-dir", root / "run", "--pattern", "0", "--n-explain", "20",
          "--background", "30"],
+        ["synth", "--profile", "separated2", "--n", "3000", "--out", root / "synth_3000"],
+        ["ingest", "--data", root / "synth_3000" / "synth_cohort.csv",
+         "--out", root / "ingest_3000"],
+        ["cluster", "--data", root / "ingest_3000" / "clean.csv", "--out", root / "cluster_3000"],
     ]
     for step in steps:
         argv = [str(a) for a in step] + ["--seed", str(SEED)]
