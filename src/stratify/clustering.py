@@ -1,13 +1,18 @@
 """Stage 1: K-means over the encoded, normalized features plus index-vote K selection.
 
 ``kmeans_fit`` runs Lloyd's algorithm with k-means++ initialization and several
-restarts, keeping the restart with the lowest inertia. ``select_k`` fits a range
-of K values and lets ten cluster validity indices vote; the winner is the K
-chosen most often, ties broken toward smaller K. ``INDICES`` gives each index
-its vote rule and its input: the pair indices (silhouette, dunn, c_index,
-mcclain, point_biserial) read a capped subsample of rows, whose distance matrix,
-condensed pair distances and same-cluster mask are built once per K and shared;
-the others read every row or the W_k sequence.
+restarts, keeping the restart with the lowest inertia. Each Lloyd step builds
+one centroid-major distance array; ``_nearest`` takes the per-row minimum (whose
+sum is the cost) and the lowest-index nearest centroid from it in a few passes
+over contiguous rows, and ``assign_patterns`` labels rows with the same helper.
+The centroid sums read feature columns copied once per Lloyd run.
+
+``select_k`` fits a range of K values and lets ten cluster validity indices
+vote; the winner is the K chosen most often, ties broken toward smaller K.
+``INDICES`` gives each index its vote rule and its input: the pair indices
+(silhouette, dunn, c_index, mcclain, point_biserial) read a capped subsample of
+rows, whose distance matrix, condensed pair distances and same-cluster mask are
+built once per K and shared; the others read every row or the W_k sequence.
 
 Index definitions (d = Euclidean distance, W_k = within-cluster sum of squared
 distances to centroids at K=k, n = sample count, p = feature count):
@@ -89,14 +94,17 @@ def _check_matrix(X) -> np.ndarray:
 
 
 def _sq_dists(X, C, xx=None):
-    # ||x||^2 - 2 x.c + ||c||^2, clipped against float cancellation; xx, the
-    # precomputed (X * X).sum(1), saves that pass when X is reused. In place,
+    # ||x||^2 - 2 x.c + ||c||^2 as an n x K array, clipped against float
+    # cancellation; xx, the precomputed (X * X).sum(1), saves that pass when X is
+    # reused. Stored centroid-major (the transpose is C-contiguous), so each
+    # broadcast add and each of _nearest's passes runs over a contiguous row of
+    # n values. In place, with the row norms added before the centroid norms,
     # which rounds the same as the three-term expression.
-    d2 = X @ C.T
+    d2 = C @ X.T
     d2 *= -2.0
-    d2 += ((X * X).sum(1) if xx is None else xx)[:, None]
-    d2 += (C * C).sum(1)[None, :]
-    return np.maximum(d2, 0.0, out=d2)
+    d2 += ((X * X).sum(1) if xx is None else xx)[None, :]
+    d2 += (C * C).sum(1)[:, None]
+    return np.maximum(d2, 0.0, out=d2).T
 
 
 def _kmeanspp(X, k, rng, n_candidates: int = 10, first_idx: int | None = None):
@@ -124,11 +132,21 @@ def _kmeanspp(X, k, rng, n_candidates: int = 10, first_idx: int | None = None):
     return centroids
 
 
-def _assign(X, centroids, xx):
-    # nearest centroid per row (argmin takes the lowest index on ties) and the cost
-    d2 = _sq_dists(X, centroids, xx)
-    labels = d2.argmin(axis=1)
-    return d2, labels, float(d2[np.arange(X.shape[0]), labels].sum())
+def _nearest(d2):
+    """Nearest centroid of every row of an n x K distance array, and its distance.
+
+    Over the centroid-major layout, the minimum is taken first; a row's label
+    then counts the leading centroids strictly farther than that minimum, so
+    ties go to the lowest centroid index, as with ``argmin``.
+    """
+    rows = np.ascontiguousarray(d2.T)
+    dmin = rows.min(axis=0)
+    labels = np.zeros(len(dmin), dtype=np.min_scalar_type(len(rows)))
+    ahead = np.ones(len(dmin), dtype=bool)  # no centroid so far is at the minimum
+    for row in rows[:-1]:
+        ahead &= row > dmin
+        labels += ahead
+    return labels.astype(np.int64), dmin
 
 
 def _lloyd(X, centroids, max_iter, tol):
@@ -136,9 +154,11 @@ def _lloyd(X, centroids, max_iter, tol):
     labels = np.full(n, -1)
     prev_cost = np.inf
     xx = (X * X).sum(1)
+    cols = np.ascontiguousarray(X.T)  # contiguous feature columns for the centroid sums
     it = max_iter  # max_iter 0 skips the loop
     for it in range(1, max_iter + 1):
-        d2, new_labels, cost = _assign(X, centroids, xx)
+        new_labels, dmin = _nearest(_sq_dists(X, centroids, xx))
+        cost = float(dmin.sum())
         # Lloyd monotonicity: each assignment step can only lower the cost
         if not cost <= prev_cost + 1e-8 * max(1.0, abs(prev_cost)):  # NaN fails too
             raise ClusteringError(f"Lloyd inertia increased from {prev_cost!r} to {cost!r}")
@@ -148,23 +168,23 @@ def _lloyd(X, centroids, max_iter, tol):
         labels = new_labels
         counts = np.bincount(labels, minlength=k)
         sums = np.empty_like(centroids)
-        for j in range(X.shape[1]):
-            sums[:, j] = np.bincount(labels, weights=X[:, j], minlength=k)
+        for j, col in enumerate(cols):
+            sums[:, j] = np.bincount(labels, weights=col, minlength=k)
         new_centroids = centroids.copy()
         nonempty = counts > 0
         new_centroids[nonempty] = sums[nonempty] / counts[nonempty, None]
         empties = np.flatnonzero(~nonempty)
         if len(empties):
             # reseed each empty centroid at the point currently farthest from its centroid
-            far_order = np.argsort(-d2[np.arange(n), labels], kind="stable")
+            far_order = np.argsort(-dmin, kind="stable")
             for rank, c in enumerate(empties):
                 new_centroids[c] = X[far_order[rank % n]]
         shift = np.sqrt(((new_centroids - centroids) ** 2).sum(axis=1)).max()
         centroids = new_centroids
         if shift < tol and not len(empties):
             break
-    _, labels, cost = _assign(X, centroids, xx)
-    return labels, centroids, cost, it
+    labels, dmin = _nearest(_sq_dists(X, centroids, xx))
+    return labels, centroids, float(dmin.sum()), it
 
 
 def kmeans_fit(X, k: int, seed: int, n_restarts: int = 10, max_iter: int = 300,
@@ -176,6 +196,8 @@ def kmeans_fit(X, k: int, seed: int, n_restarts: int = 10, max_iter: int = 300,
         raise ClusteringError("k must be >= 1")
     if k > n:
         raise ClusteringError(f"k={k} exceeds the number of rows n={n}")
+    if n_restarts < 1:
+        raise ClusteringError(f"n_restarts must be >= 1, got {n_restarts}")
     if k == 1:
         centroid = X.mean(axis=0, keepdims=True)
         inertia = float(((X - centroid) ** 2).sum())
@@ -203,7 +225,7 @@ def assign_patterns(model: KMeansModel, X) -> PatternAssignment:
     X = _check_matrix(X)
     if X.shape[1] != model.centroids.shape[1]:
         raise ClusteringError("feature dimension does not match the fitted centroids")
-    labels = _sq_dists(X, model.centroids).argmin(axis=1).astype(np.int64)
+    labels, _ = _nearest(_sq_dists(X, model.centroids))
     sizes = np.bincount(labels, minlength=model.k)
     return PatternAssignment(labels, sizes)
 
@@ -227,7 +249,8 @@ def sort_patterns_by_size(model: KMeansModel, assignment: PatternAssignment
 def pairwise_distances(X) -> np.ndarray:
     d2 = _sq_dists(X, X)
     np.fill_diagonal(d2, 0.0)
-    return np.sqrt(d2)
+    # row-major, as the silhouette's row sums expect
+    return np.sqrt(d2, order="C")
 
 
 class _Partition:

@@ -3,7 +3,9 @@
 Everything here is written as plain textbook loops, deliberately sharing no
 code with the package: partition costs by exhaustive enumeration, validity
 indices straight from their formulas, AUC by pair counting, Shapley values via
-the permutation definition, gradients by central differences.
+the permutation definition, gradients by central differences. The one
+exception is ``frozen_lloyd``: a verbatim copy of an earlier Lloyd
+implementation, kept so a faster rewrite can be checked bit for bit.
 """
 
 import itertools
@@ -53,6 +55,57 @@ def canonical_two_labels(labels):
     if labels[0] == 1:
         labels = [1 - v for v in labels]
     return labels
+
+
+def _frozen_sq_dists(X, C, xx):
+    d2 = X @ C.T
+    d2 *= -2.0
+    d2 += xx[:, None]
+    d2 += (C * C).sum(1)[None, :]
+    return np.maximum(d2, 0.0, out=d2)
+
+
+def _frozen_assign(X, centroids, xx):
+    d2 = _frozen_sq_dists(X, centroids, xx)
+    labels = d2.argmin(axis=1)
+    return d2, labels, float(d2[np.arange(X.shape[0]), labels].sum())
+
+
+def frozen_lloyd(X, centroids, max_iter, tol):
+    """Lloyd's algorithm as stratify ran it before its assignment step was
+    rewritten: argmin over an n x K distance array, a gathered cost and one
+    bincount per strided feature column. Returns (labels, centroids, cost, iters)."""
+    n, k = X.shape[0], centroids.shape[0]
+    labels = np.full(n, -1)
+    prev_cost = np.inf
+    xx = (X * X).sum(1)
+    it = max_iter
+    for it in range(1, max_iter + 1):
+        d2, new_labels, cost = _frozen_assign(X, centroids, xx)
+        if not cost <= prev_cost + 1e-8 * max(1.0, abs(prev_cost)):
+            raise AssertionError("Lloyd inertia increased")
+        prev_cost = cost
+        if np.array_equal(new_labels, labels):
+            return labels, centroids, cost, it
+        labels = new_labels
+        counts = np.bincount(labels, minlength=k)
+        sums = np.empty_like(centroids)
+        for j in range(X.shape[1]):
+            sums[:, j] = np.bincount(labels, weights=X[:, j], minlength=k)
+        new_centroids = centroids.copy()
+        nonempty = counts > 0
+        new_centroids[nonempty] = sums[nonempty] / counts[nonempty, None]
+        empties = np.flatnonzero(~nonempty)
+        if len(empties):
+            far_order = np.argsort(-d2[np.arange(n), labels], kind="stable")
+            for rank, c in enumerate(empties):
+                new_centroids[c] = X[far_order[rank % n]]
+        shift = np.sqrt(((new_centroids - centroids) ** 2).sum(axis=1)).max()
+        centroids = new_centroids
+        if shift < tol and not len(empties):
+            break
+    _, labels, cost = _frozen_assign(X, centroids, xx)
+    return labels, centroids, cost, it
 
 
 # ---------------------------------------------------------------------------

@@ -37,6 +37,12 @@ def test_kmeans_errors():
         cl.kmeans_fit(np.array([[np.nan, 0.0]]), 1, seed=0)
 
 
+@pytest.mark.parametrize("k", [1, 2])
+def test_kmeans_fit_needs_a_restart(rng, k):
+    with pytest.raises(ClusteringError, match="n_restarts"):
+        cl.kmeans_fit(rng.normal(size=(20, 2)), k, seed=0, n_restarts=0)
+
+
 def test_lloyd_inertia_increase_raises_clustering_error(rng, monkeypatch):
     # a real check, not an assert, so it survives python -O; scaling every
     # distance up on each call keeps the labels but makes the cost grow
@@ -46,6 +52,35 @@ def test_lloyd_inertia_increase_raises_clustering_error(rng, monkeypatch):
     X = rng.normal(size=(60, 2))
     with pytest.raises(ClusteringError, match="inertia increased"):
         cl._lloyd(X, X[:3].copy(), 50, 1e-6)
+
+
+def _lloyd_cases(rng):
+    # random rows; K from 2 to 9 with distinct starting rows
+    X = rng.normal(size=(300, 4))
+    for k in range(2, 10):
+        yield X, X[rng.choice(len(X), k, replace=False)] + 0.01, 100
+    # an integer grid: every row with x0 = 1 is exactly equidistant from the
+    # first two starting centroids, and so are rows between later centroids
+    grid = np.array([(a, b) for a in range(-3, 6) for b in range(-2, 3)], dtype=np.float64)
+    for k in (2, 3, 4):
+        yield grid, np.array([(0.0, 0.0), (2.0, 0.0), (4.0, 0.0), (2.0, 2.0)][:k]), 100
+    # duplicated starting centroids leave clusters empty and force the reseed
+    yield X, X[[5, 5, 5, 9]].copy(), 100
+    yield grid, grid[[0, 0, 7]].copy(), 100
+    # max_iter 0 only assigns; max_iter 1 stops after one update
+    for max_iter in (0, 1):
+        yield X, X[:3] + 0.5, max_iter
+        yield grid, grid[[0, 0, 7]].copy(), max_iter
+
+
+def test_lloyd_matches_frozen_reference_bit_for_bit(rng):
+    for X, init, max_iter in _lloyd_cases(rng):
+        want = oracles.frozen_lloyd(X, init.copy(), max_iter, 1e-6)
+        got = cl._lloyd(X, init.copy(), max_iter, 1e-6)
+        assert np.array_equal(got[0], want[0])
+        assert got[1].tobytes() == want[1].tobytes()
+        assert got[2] == want[2]
+        assert got[3] == want[3]
 
 
 def test_kmeans_deterministic(rng):

@@ -16,7 +16,9 @@ are digested too.
 
 The digest is the sha256 of the sorted ``<command dir>/<artifact> <sha256>``
 lines taken from the ``artifacts`` map of every manifest; timestamps and other
-manifest fields are left out. Run it from the repository root:
+manifest fields are left out. Those lines also go to standard error, so a
+changed digest can be traced to the artifacts behind it by diffing two runs'
+stderr. Run it from the repository root:
 
     PYTHONPATH=src python tools/reference_run.py
 
@@ -80,15 +82,16 @@ def reference_artifacts(root) -> dict:
     return out
 
 
-def digest(artifacts: dict) -> str:
-    lines = "".join(f"{k} {v}\n" for k, v in sorted(artifacts.items()))
-    return hashlib.sha256(lines.encode()).hexdigest()
+def digest_lines(artifacts: dict) -> str:
+    return "".join(f"{k} {v}\n" for k, v in sorted(artifacts.items()))
 
 
 def main() -> int:
     with tempfile.TemporaryDirectory(prefix="stratify-reference-") as tmp:
         artifacts = reference_artifacts(tmp)
-    print(f"{len(artifacts)} artifacts  sha256 {digest(artifacts)}")
+    lines = digest_lines(artifacts)
+    sys.stderr.write(lines)
+    print(f"{len(artifacts)} artifacts  sha256 {hashlib.sha256(lines.encode()).hexdigest()}")
     return 0
 
 
