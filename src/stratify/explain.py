@@ -3,14 +3,17 @@
 The Shapley value function is interventional: v(S) is the model output averaged
 over background rows whose features in S are overwritten with the explained
 row's values. ``shap_bruteforce`` enumerates all 2^p subsets and works for any
-scoring function (guarded at p <= 20). ``shap_tree_fast`` computes the same
-quantity for additive tree ensembles in closed form per (background row, leaf):
-a leaf is reached under a coalition iff every path feature taken from x
+scoring function (guarded at p <= 20). For additive tree ensembles ``shap_matrix``
+computes the same quantity in closed form per (explained row, background row,
+leaf): a leaf is reached under a coalition iff every path feature taken from x
 satisfies its interval ("positive" literal) and every one taken from the
 background row does too ("negative" literal), and the Shapley value of such a
-conjunction game has a factorial closed form. Tree ensembles are explained on
-their additive scale (margin for boosting), so positive values push toward
-certification.
+conjunction game has a factorial closed form (the interventional tree game of
+Lundberg et al., Nature Machine Intelligence 2020). Each leaf is evaluated once
+for all explained rows; ``shap_tree_fast`` is the one-row case. Every explained
+row must satisfy efficiency: base + sum(phi) equals the ensemble's own output at
+that row. Tree ensembles are explained on their additive scale (margin for
+boosting), so positive values push toward certification.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ import numpy as np
 
 from .classifiers import TrainedModel
 from .classifiers.boosting import GBTState
-from .classifiers.trees import DTState, RFState, TreeNode
+from .classifiers.trees import DTState, RFState, TreeNode, tree_predict
 from .errors import ExplainError
 
 EFFICIENCY_TOL = 1e-9
@@ -125,9 +128,13 @@ def shap_bruteforce(predict_fn, x, background, max_features_guard: int = 20):
 
 
 def _check_efficiency(phi, base, fx):
-    err = abs(base + phi.sum() - fx)
-    if err > EFFICIENCY_TOL * max(1.0, abs(fx)):
-        raise ExplainError(f"efficiency axiom violated by {err:.3e}")
+    """base + sum(phi) must equal the model output fx, row by row (phi may be 1-D)."""
+    fx = np.atleast_1d(fx)
+    err = np.abs(base + np.atleast_2d(phi).sum(axis=1) - fx)
+    bad = np.flatnonzero(~(err <= EFFICIENCY_TOL * np.maximum(1.0, np.abs(fx))))
+    if len(bad):
+        raise ExplainError(f"efficiency axiom violated by {err[bad].max():.3e} "
+                           f"on explained row {bad[0]}")
 
 
 # ---------------------------------------------------------------------------
@@ -166,12 +173,11 @@ def shap_tree_fast(model, x, background):
     the leaf. The Shapley values of that conjunction are
     phi_j = w * (q-1)! r! / (q+r)!  for j in P, and
     phi_j = -w * q! (r-1)! / (q+r)! for j in N  (q = |P|, r = |N|).
+    This is ``shap_matrix`` for one row.
     """
-    state = _tree_state(model)
     x = np.asarray(x, dtype=np.float64).ravel()
-    B = np.asarray(background, dtype=np.float64)
-    prepared = [_leaf_paths(t) for t in state.trees]
-    return _shap_tree_prepared(state, prepared, x, B)
+    phi, base = _shap_tree_rows(_tree_state(model), x[None, :], background)
+    return phi[0], base
 
 
 def _conjunction_tables(p_max: int):
@@ -186,70 +192,56 @@ def _conjunction_tables(p_max: int):
     return pos_tab, neg_tab
 
 
-def _shap_tree_prepared(state, prepared, x, B):
+def _shap_tree_rows(state, X, B):
+    """Shapley values of every row of X (m x p) and the shared base value.
+
+    Each leaf is evaluated once for all m rows: P, N and the dead pairs are
+    m x n_b x |U| boolean arrays over (explained row, background row, feature).
+    """
+    B = np.asarray(B, dtype=np.float64)
     if B.ndim != 2 or B.shape[0] == 0:
         raise ExplainError("background must be a nonempty matrix")
     p = state.n_features
-    if len(x) != p or B.shape[1] != p:
+    if X.shape[1] != p or B.shape[1] != p:
         raise ExplainError("feature dimension mismatch")
     nb = B.shape[0]
     pos_tab, neg_tab = _conjunction_tables(p)
-    phi = np.zeros(p)
+    phi = np.zeros(X.shape)
     base = state.base_offset
     weight = state.tree_weight
-    fx = state.base_offset
 
-    for leaves in prepared:
-        for value, box in leaves:
+    for tree in state.trees:
+        for value, box in _leaf_paths(tree):
             if not box:  # leaf-only tree: constant contribution
                 base += weight * value
-                fx += weight * value
                 continue
             feats = list(box.keys())
             lo = np.array([box[j][0] for j in feats])
             hi = np.array([box[j][1] for j in feats])
-            x_pass = (x[feats] > lo) & (x[feats] <= hi)
-            b_pass = (B[:, feats] > lo[None, :]) & (B[:, feats] <= hi[None, :])
-            if x_pass.all():
-                fx += weight * value
-            # rows where some feature fails for both x and b never reach the leaf
-            alive = ~((~x_pass[None, :]) & (~b_pass)).any(axis=1)
-            if not alive.any():
-                continue
-            pos = x_pass[None, :] & (~b_pass[alive])   # P per live row
-            neg = (~x_pass[None, :]) & b_pass[alive]   # N per live row
-            q = pos.sum(axis=1)
-            r = neg.sum(axis=1)
-            base += weight * value * float((q == 0).sum()) / nb
+            x_pass = ((X[:, feats] > lo) & (X[:, feats] <= hi))[:, None, :]
+            b_pass = ((B[:, feats] > lo) & (B[:, feats] <= hi))[None, :, :]
+            # the background rows that reach the leaf under the empty coalition
+            base += weight * value * float(b_pass.all(axis=2).sum()) / nb
+            # a pair where some feature fails for both x and b never reaches the leaf
+            alive = ~(~x_pass & ~b_pass).any(axis=2)
+            pos = x_pass & ~b_pass & alive[:, :, None]  # P per (row, background row)
+            neg = ~x_pass & b_pass & alive[:, :, None]  # N per (row, background row)
+            q = pos.sum(axis=2)
+            r = neg.sum(axis=2)
             scale = weight * value / nb
-            w_pos = scale * pos_tab[q, r]
-            w_neg = -scale * neg_tab[q, r]
-            for c, j in enumerate(feats):
-                phi[j] += w_pos[pos[:, c]].sum() + w_neg[neg[:, c]].sum()
+            phi[:, feats] += (np.einsum("mb,mbu->mu", scale * pos_tab[q, r], pos)
+                              - np.einsum("mb,mbu->mu", scale * neg_tab[q, r], neg))
 
+    fx = state.base_offset + weight * np.sum([tree_predict(t, X) for t in state.trees], axis=0)
     _check_efficiency(phi, base, fx)
     return phi, float(base)
 
 
-def shap_matrix(model, X, background, feature_names=None, fast=True) -> ShapMatrix:
-    """Explain every row of X; tree models take the closed-form path by default."""
+def shap_matrix(model, X, background, feature_names=None) -> ShapMatrix:
+    """Explain every row of X with the closed-form tree path, all rows at once."""
     X = np.asarray(X, dtype=np.float64)
-    B = np.asarray(background, dtype=np.float64)
-    rows = []
-    base = 0.0
-    if fast:
-        state = _tree_state(model)
-        prepared = [_leaf_paths(t) for t in state.trees]
-        for i in range(X.shape[0]):
-            phi, base = _shap_tree_prepared(state, prepared, X[i], B)
-            rows.append(phi)
-    else:
-        from .classifiers import predict_scores
-        for i in range(X.shape[0]):
-            phi, base = shap_bruteforce(lambda M: predict_scores(model, M), X[i], B)
-            rows.append(phi)
-    return ShapMatrix(np.array(rows), base, X.copy(),
-                      tuple(feature_names) if feature_names else None)
+    phi, base = _shap_tree_rows(_tree_state(model), X, background)
+    return ShapMatrix(phi, base, X.copy(), tuple(feature_names) if feature_names else None)
 
 
 def beeswarm_export(matrix: ShapMatrix):

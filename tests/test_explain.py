@@ -190,3 +190,51 @@ def test_shap_matrix_and_beeswarm(rng):
     single = ex.beeswarm_export(ex.ShapMatrix(mat.values[:1], mat.base,
                                               mat.feature_values[:1], ("a", "b", "c")))
     assert len(single) == 3
+
+
+def ensemble_with_leaf_only_tree(alg, rng, p):
+    # a fitted ensemble plus, for RF and GBT, one tree that is a single leaf
+    X = rng.normal(size=(40, p))
+    y = (X[:, 0] - 0.5 * X[:, -1] + rng.normal(scale=0.3, size=40) > 0).astype(int)
+    params = {"max_depth": 3} if alg == "DT" else {"n_trees": 3, "max_depth": 3}
+    model = clf.fit(alg, X, y, params, seed=int(rng.integers(1 << 30)))
+    if alg != "DT":
+        model.state.forest.append(leaf(float(rng.normal())))
+    return model, X
+
+
+@pytest.mark.parametrize("alg", ["DT", "RF", "GBT"])
+def test_shap_matrix_rows_equal_single_row_path(rng, alg):
+    for _ in range(4):
+        p = int(rng.integers(2, 7))
+        model, X = ensemble_with_leaf_only_tree(alg, rng, p)
+        B = X[:int(rng.integers(2, 12))]
+        mat = ex.shap_matrix(model, X[:9], B)
+        for i in range(9):
+            phi, base = ex.shap_tree_fast(model, X[i], B)
+            assert np.max(np.abs(mat.values[i] - phi)) <= 1e-12
+            assert base == mat.base
+        brute, _ = ex.shap_bruteforce(ensemble_fn(model), X[0], B)
+        assert np.allclose(mat.values[0], brute, atol=1e-9)
+
+
+def test_shap_matrix_leaf_only_model(rng):
+    B = rng.normal(size=(5, 3))
+    mat = ex.shap_matrix(manual_dt(leaf(0.3), 3), rng.normal(size=(4, 3)), B)
+    assert np.all(mat.values == 0.0) and mat.base == 0.3
+
+
+@pytest.mark.parametrize("alg", ["DT", "RF", "GBT"])
+def test_efficiency_violation_in_one_row_raises(rng, monkeypatch, alg):
+    model, X = ensemble_with_leaf_only_tree(alg, rng, 4)
+    ex.shap_matrix(model, X[:6], X[6:14])  # consistent as fitted
+    real = ex.tree_predict
+
+    def shifted(tree, M):
+        out = real(tree, M)
+        out[3] += 1e-3  # the model's output moves for explained row 3 only
+        return out
+
+    monkeypatch.setattr(ex, "tree_predict", shifted)
+    with pytest.raises(ExplainError, match="explained row 3"):
+        ex.shap_matrix(model, X[:6], X[6:14])
