@@ -96,10 +96,8 @@ def _check_matrix(X) -> np.ndarray:
 def _sq_dists(X, C, xx=None):
     # ||x||^2 - 2 x.c + ||c||^2 as an n x K array, clipped against float
     # cancellation; xx, the precomputed (X * X).sum(1), saves that pass when X is
-    # reused. Stored centroid-major (the transpose is C-contiguous), so each
-    # broadcast add and each of _nearest's passes runs over a contiguous row of
-    # n values. In place, with the row norms added before the centroid norms,
-    # which rounds the same as the three-term expression.
+    # reused. Stored centroid-major, so every pass runs over contiguous rows of n
+    # values. In place, row norms before centroid norms: that order fixes the bits.
     d2 = C @ X.T
     d2 *= -2.0
     d2 += ((X * X).sum(1) if xx is None else xx)[None, :]

@@ -218,8 +218,9 @@ def _shap_tree_rows(state, X, B):
             feats = list(box.keys())
             lo = np.array([box[j][0] for j in feats])
             hi = np.array([box[j][1] for j in feats])
-            x_pass = ((X[:, feats] > lo) & (X[:, feats] <= hi))[:, None, :]
-            b_pass = ((B[:, feats] > lo) & (B[:, feats] <= hi))[None, :, :]
+            xf, bf = X[:, feats], B[:, feats]
+            x_pass = ((xf > lo) & (xf <= hi))[:, None, :]
+            b_pass = ((bf > lo) & (bf <= hi))[None, :, :]
             # the background rows that reach the leaf under the empty coalition
             base += weight * value * float(b_pass.all(axis=2).sum()) / nb
             # a pair where some feature fails for both x and b never reaches the leaf

@@ -214,8 +214,8 @@ def test_shap_matrix_rows_equal_single_row_path(rng, alg):
             phi, base = ex.shap_tree_fast(model, X[i], B)
             assert np.max(np.abs(mat.values[i] - phi)) <= 1e-12
             assert base == mat.base
-        brute, _ = ex.shap_bruteforce(ensemble_fn(model), X[0], B)
-        assert np.allclose(mat.values[0], brute, atol=1e-9)
+            brute, _ = ex.shap_bruteforce(ensemble_fn(model), X[i], B)
+            assert np.allclose(mat.values[i], brute, atol=1e-9)
 
 
 def test_shap_matrix_leaf_only_model(rng):

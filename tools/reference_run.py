@@ -82,14 +82,10 @@ def reference_artifacts(root) -> dict:
     return out
 
 
-def digest_lines(artifacts: dict) -> str:
-    return "".join(f"{k} {v}\n" for k, v in sorted(artifacts.items()))
-
-
 def main() -> int:
     with tempfile.TemporaryDirectory(prefix="stratify-reference-") as tmp:
         artifacts = reference_artifacts(tmp)
-    lines = digest_lines(artifacts)
+    lines = "".join(f"{k} {v}\n" for k, v in sorted(artifacts.items()))
     sys.stderr.write(lines)
     print(f"{len(artifacts)} artifacts  sha256 {hashlib.sha256(lines.encode()).hexdigest()}")
     return 0
