@@ -9,8 +9,9 @@ and splits maximize the standard regularized gain
 Trees come from the exact greedy grower shared with CART
 (``trees.grow_tree``): presorted columns, candidate thresholds a <= thr < b
 between consecutive distinct values, and the gain above scored from prefix
-sums of g and h. Leaf values are stored pre-scaled by the learning rate; the
-ensemble margin is their sum.
+sums of g and h. The fit runs ``n_trees`` rounds from a zero margin, and stops
+early when a round's tree has only zero leaves. Leaf values are stored
+pre-scaled by the learning rate; the ensemble margin is their sum.
 """
 
 from __future__ import annotations
@@ -27,8 +28,7 @@ from .trees import TreeNode, grow_tree, presort, tree_predict
 @dataclass
 class GBTParams:
     max_depth: int = field(default=5, metadata={"ge": 1})
-    n_trees: int = field(default=100, metadata={"ge": 1})
-    max_iterations: int = field(default=50, metadata={"ge": 1})  # rounds: min(n_trees, this)
+    n_trees: int = field(default=50, metadata={"ge": 1})  # boosting rounds
     learning_rate: float = field(default=0.3, metadata={"gt": 0})
     reg_lambda: float = field(default=1.0, metadata={"ge": 0})
     reg_gamma: float = field(default=0.0, metadata={"ge": 0})
@@ -39,7 +39,6 @@ class GBTParams:
 @dataclass
 class GBTState:
     forest: list[TreeNode]
-    base_margin: float
     n_features: int
 
     @property
@@ -52,7 +51,7 @@ class GBTState:
 
     @property
     def base_offset(self) -> float:
-        return self.base_margin
+        return 0.0
 
 
 def leaf_weight(G: float, H: float, lam: float) -> float:
@@ -68,7 +67,6 @@ def split_gain(GL, HL, GR, HR, lam, gamma):
 def fit_gbt(X, y, params: GBTParams, seed: int):
     n, p = X.shape
     y = np.asarray(y, dtype=np.float64)
-    rounds = min(params.n_trees, params.max_iterations)
     cols, orders = presort(X)
     lam, gamma_, eta = params.reg_lambda, params.reg_gamma, params.learning_rate
 
@@ -78,10 +76,10 @@ def fit_gbt(X, y, params: GBTParams, seed: int):
     def leaf_value(G, H):
         return eta * (-G / max(H + lam, 1e-16))
 
-    margin = np.full(n, 0.0)
+    margin = np.zeros(n)
     curve = [float(log_loss_terms(margin, y).mean())]
     forest = []
-    for _ in range(rounds):
+    for _ in range(params.n_trees):
         prob = sigmoid(margin)
         g = prob - y
         h = prob * (1.0 - prob)
@@ -100,13 +98,13 @@ def fit_gbt(X, y, params: GBTParams, seed: int):
         if params.learning_rate <= 0.3 and not loss <= bound:  # NaN fails too
             raise TrainingError(f"boosting loss increased from {curve[-1]!r} to {loss!r}")
         curve.append(loss)
-    state = GBTState(forest, 0.0, p)
+    state = GBTState(forest, p)
     meta = {"n_iter": len(forest), "final_loss": curve[-1], "loss_curve": curve}
     return state, meta
 
 
 def gbt_margin(state: GBTState, X) -> np.ndarray:
-    out = np.full(X.shape[0], state.base_margin)
+    out = np.zeros(X.shape[0])
     for tree in state.forest:
         out += tree_predict(tree, X)
     return out

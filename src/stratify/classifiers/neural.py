@@ -16,7 +16,6 @@ from .linear import log_loss_terms, sigmoid
 @dataclass
 class MLPParams:
     hidden: int = field(default=50, metadata={"ge": 1})
-    activation: str = field(default="tanh", metadata={"choices": ("tanh",)})
     alpha: float = field(default=0.1, metadata={"ge": 0})  # L2 penalty on weights (not biases)
     learning_rate: float = field(default=0.001, metadata={"gt": 0})
     batch_size: int = field(default=32, metadata={"ge": 1})

@@ -19,7 +19,6 @@ from ..rng import derive_rng
 @dataclass
 class SVCParams:
     C: float = field(default=5.0, metadata={"gt": 0})
-    kernel: str = field(default="rbf", metadata={"choices": ("rbf",)})
     # "scale" => 1 / (p * var(X)); or a positive float
     gamma: float | str = field(default="scale", metadata={"gt": 0, "choices": ("scale",)})
     tol: float = field(default=1e-3, metadata={"ge": 0})

@@ -107,11 +107,8 @@ def edx_schema() -> FeatureSchema:
         Feature("nchapters", "count", "behavior"),
         Feature("nforum_posts", "count", "behavior"),
     )
-    schema = FeatureSchema(feats, outcome="certified",
-                           flag_columns=("incomplete_flag", "inconsistent_flag"))
-    assert len(schema.role_names("background")) == 3
-    assert len(schema.role_names("behavior")) == 7
-    return schema
+    return FeatureSchema(feats, outcome="certified",
+                         flag_columns=("incomplete_flag", "inconsistent_flag"))
 
 
 @dataclass

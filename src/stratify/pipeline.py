@@ -37,7 +37,7 @@ DEFAULT_PATTERN_HPARAMS = (
         "KNN": {"n_neighbors": 3},
         "MLP": {"alpha": 0.1, "hidden": 50},
         "SVC": {"C": 5.0},
-        "GBT": {"max_depth": 5, "n_trees": 100, "max_iterations": 50},
+        "GBT": {"max_depth": 5, "n_trees": 50},
     },
     {   # pattern 1: the small highly engaged cluster
         "LR": {"reg_factor": 0.1, "stop_tol": 0.002},
@@ -46,7 +46,7 @@ DEFAULT_PATTERN_HPARAMS = (
         "KNN": {"n_neighbors": 20},
         "MLP": {"alpha": 0.01, "hidden": 50},
         "SVC": {"C": 5.0},
-        "GBT": {"max_depth": 7, "n_trees": 60, "max_iterations": 50},
+        "GBT": {"max_depth": 7, "n_trees": 50},
     },
 )
 
@@ -57,7 +57,7 @@ DEFAULT_DIRECT_HPARAMS = {
     "KNN": {"n_neighbors": 2},
     "MLP": {"alpha": 0.1, "hidden": 50},
     "SVC": {"C": 5.0},
-    "GBT": {"max_depth": 5, "n_trees": 20, "max_iterations": 50},
+    "GBT": {"max_depth": 5, "n_trees": 20},
 }
 
 COMPARISON_METRICS = ("accuracy", "precision", "recall", "f1", "auc")

@@ -195,8 +195,7 @@ def test_criterion_07_gbt_loss_and_leaf_weight():
         n = int(rng.integers(30, 120))
         X = rng.normal(size=(n, 4))
         y = ((X[:, 0] - X[:, 1] + rng.normal(scale=0.4, size=n)) > 0).astype(int)
-        m = clf.fit("GBT", X, y, {"n_trees": 25, "max_iterations": 25, "max_depth": 3,
-                                  "learning_rate": 0.3}, seed=trial)
+        m = clf.fit("GBT", X, y, {"n_trees": 25, "max_depth": 3, "learning_rate": 0.3}, seed=trial)
         curve = m.meta["loss_curve"]
         monotone &= all(b <= a + 1e-12 * max(1, abs(a)) for a, b in zip(curve, curve[1:]))
     worst = 0.0

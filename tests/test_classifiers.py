@@ -309,7 +309,7 @@ def test_gbt_leaf_weight_examples_and_oracle(rng):
 def test_gbt_loss_monotone_and_curve_recorded(rng):
     X = rng.normal(size=(80, 4))
     y = ((X[:, 0] + 0.5 * X[:, 1] + rng.normal(scale=0.3, size=80)) > 0).astype(int)
-    m = clf.fit("GBT", X, y, {"n_trees": 30, "max_iterations": 30, "max_depth": 3}, seed=1)
+    m = clf.fit("GBT", X, y, {"n_trees": 30, "max_depth": 3}, seed=1)
     curve = m.meta["loss_curve"]
     assert len(curve) >= 2
     assert all(b <= a + 1e-12 for a, b in zip(curve, curve[1:]))
@@ -391,6 +391,15 @@ def test_model_serialization_roundtrip_bit_exact(tmp_path, rng):
         again = tmp_path / f"{alg}_again.json"
         clf.save_model(again, back)
         assert again.read_bytes() == path.read_bytes()
+    # a GBT file written before base_margin and max_iterations went still loads
+    gbt = clf.fit("GBT", X, y, seed=3)
+    old = clf.model_to_dict(gbt)
+    old["state"]["base_margin"] = 0.0
+    old["hyperparams"]["max_iterations"] = 50
+    path = tmp_path / "GBT_old.json"
+    path.write_text(json.dumps(old, sort_keys=True))
+    back = clf.load_model(path)
+    assert clf.predict_scores(back, Xq).tobytes() == clf.predict_scores(gbt, Xq).tobytes()
 
 
 def test_resolve_params_rejects_unknown_keys():
