@@ -66,7 +66,6 @@ def split_gain(GL, HL, GR, HR, lam, gamma):
 
 def fit_gbt(X, y, params: GBTParams, seed: int):
     n, p = X.shape
-    y = np.asarray(y, dtype=np.float64)
     cols, orders = presort(X)
     lam, gamma_, eta = params.reg_lambda, params.reg_gamma, params.learning_rate
 

@@ -69,7 +69,6 @@ def fit_mlp(X, y, params: MLPParams, seed: int):
     n = X.shape[0]
     lr = params.learning_rate
     prev = np.inf
-    curve = []
     for epoch in range(1, params.max_epochs + 1):
         order = shuffle_rng.permutation(n)
         for start in range(0, n, params.batch_size):
@@ -80,11 +79,10 @@ def fit_mlp(X, y, params: MLPParams, seed: int):
             state.W2 -= lr * gW2
             state.b2 -= lr * gb2
         loss, _ = mlp_loss_grad(state, X, y, params.alpha)
-        curve.append(loss)
         if abs(prev - loss) < params.stop_tol:
             break
         prev = loss
-    meta = {"n_iter": epoch, "final_loss": curve[-1]}
+    meta = {"n_iter": epoch, "final_loss": loss}
     return state, meta
 
 

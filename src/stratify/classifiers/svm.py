@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..rng import derive_rng
+from .linear import sigmoid
 
 
 @dataclass
@@ -131,6 +132,4 @@ def decision_function(state: SVCState, X) -> np.ndarray:
 
 
 def predict_svc(state: SVCState, X) -> np.ndarray:
-    from .linear import sigmoid
-
     return sigmoid(decision_function(state, X))

@@ -31,7 +31,7 @@ AGE_CUTOFF = 35.0
 
 DEFAULT_PATTERN_HPARAMS = (
     {   # pattern 0: the dominant low-engagement cluster
-        "LR": {"reg_factor": 10.0, "stop_tol": 0.002},
+        "LR": {"reg_factor": 10.0},
         "DT": {"min_split": 2, "min_leaf": 2},
         "RF": {"n_trees": 2, "max_depth": 2, "min_leaf": 13},
         "KNN": {"n_neighbors": 3},
@@ -40,7 +40,7 @@ DEFAULT_PATTERN_HPARAMS = (
         "GBT": {"max_depth": 5, "n_trees": 50},
     },
     {   # pattern 1: the small highly engaged cluster
-        "LR": {"reg_factor": 0.1, "stop_tol": 0.002},
+        "LR": {"reg_factor": 0.1},
         "DT": {"min_split": 2, "min_leaf": 3},
         "RF": {"n_trees": 200, "max_depth": 7, "min_leaf": 12},
         "KNN": {"n_neighbors": 20},
@@ -51,7 +51,7 @@ DEFAULT_PATTERN_HPARAMS = (
 )
 
 DEFAULT_DIRECT_HPARAMS = {
-    "LR": {"reg_factor": 10.0, "stop_tol": 0.002},
+    "LR": {"reg_factor": 10.0},
     "DT": {"min_split": 2, "min_leaf": 1},
     "RF": {"n_trees": 2, "max_depth": 2, "min_leaf": 13},
     "KNN": {"n_neighbors": 2},

@@ -3,7 +3,8 @@
 Everything here is written as plain textbook loops, deliberately sharing no
 code with the package: partition costs by exhaustive enumeration, validity
 indices straight from their formulas, AUC by pair counting, Shapley values via
-the permutation definition, gradients by central differences. The one
+the permutation definition, gradients by central differences, the
+logistic-regression optimum by scipy's L-BFGS-B. The one
 exception is ``frozen_lloyd``: a verbatim copy of an earlier Lloyd
 implementation, kept so a faster rewrite can be checked bit for bit.
 """
@@ -305,6 +306,25 @@ def quadratic_argmin(f, lo=-1e6, hi=1e6, iters=250, h=1.0):
         else:
             lo = mid
     return (lo + hi) / 2
+
+
+def lr_optimum(X, y, lam):
+    """Minimum of mean logistic loss + (lam / 2n)||w||^2, the bias unpenalized,
+    found by L-BFGS-B from zero."""
+    from scipy import optimize
+
+    n = X.shape[0]
+
+    def objective(theta):
+        w, b = theta[:-1], theta[-1]
+        z = X @ w + b
+        loss = np.mean(np.logaddexp(0.0, z) - y * z) + lam / (2.0 * n) * (w @ w)
+        resid = 1.0 / (1.0 + np.exp(-z)) - y
+        return loss, np.append(X.T @ resid / n + lam * w / n, resid.mean())
+
+    ref = optimize.minimize(objective, np.zeros(X.shape[1] + 1), jac=True, method="L-BFGS-B",
+                            options={"maxiter": 10000, "gtol": 1e-10, "ftol": 1e-15})
+    return float(ref.fun)
 
 
 def central_diff_grad(f, theta, eps=1e-6):

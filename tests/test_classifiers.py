@@ -5,8 +5,10 @@ import numpy as np
 import pytest
 
 from stratify import classifiers as clf
+from stratify import dataset, synthcohort
 from stratify.classifiers import boosting, linear, neighbors, neural, svm, trees
 from stratify.errors import TrainingError
+from stratify.resampling import smote
 
 import oracles
 
@@ -15,7 +17,7 @@ SEPARABLE_Y = np.array([0, 0, 1, 1])
 
 # per-algorithm settings that let every fitter separate the 4-point set
 SEPARABLE_PARAMS = {
-    "LR": {"learning_rate": 0.5, "stop_tol": 1e-9, "max_iter": 3000},
+    "LR": {"max_iter": 3000},
     "MLP": {"learning_rate": 0.1, "max_epochs": 2000, "stop_tol": 0.0, "alpha": 1e-4},
 }
 
@@ -268,6 +270,38 @@ def test_lr_gradient_matches_finite_differences(rng):
         assert rel <= 1e-5
 
 
+def _separated2_pattern_arm():
+    # one pattern of a separated2 cohort, min-max scaled and balanced by SMOTE
+    sample = synthcohort.generate(synthcohort.separated_spec(2), 1500, seed=1)
+    pattern = sample.dataset.take(np.flatnonzero(sample.true_pattern == 0))
+    ds = dataset.apply_normalizer(dataset.fit_normalizer(pattern), pattern)
+    res = smote(ds.X, ds.y, 5, 1.0, seed=1)
+    return res.X, res.y
+
+
+def _edx_cohort():
+    sample = synthcohort.generate(synthcohort.edx_cohort_spec(), 20000, seed=0)
+    ds = dataset.apply_normalizer(dataset.fit_normalizer(sample.dataset), sample.dataset)
+    return ds.X, ds.y
+
+
+@pytest.mark.parametrize("data", [_separated2_pattern_arm, _edx_cohort],
+                         ids=["separated2-arm", "edx-cohort"])
+def test_lr_reaches_the_optimum(data):
+    X, y = data()
+    m = clf.fit("LR", X, y, seed=0)
+    lam = 1.0 / m.hyperparams["reg_factor"]
+    y = y.astype(np.float64)
+    loss, gw, gb = linear.lr_loss_grad(m.state.weights, m.state.bias, X, y, lam)
+    oracle = oracles.lr_optimum(X, y, lam)
+    assert loss <= oracle + 1e-9 * max(1.0, abs(oracle))
+    assert max(np.abs(gw).max(), abs(gb)) <= 1e-6
+    assert m.meta["converged"] is True
+    assert m.meta["final_loss"] == loss  # the loss at the saved state, bit for bit
+    one = clf.fit("LR", X, y, {"max_iter": 1}, seed=0)
+    assert one.meta["converged"] is False and one.meta["n_iter"] == 1
+
+
 def test_mlp_gradient_matches_finite_differences(rng):
     for _ in range(5):
         n, p, h = 8, 3, 4
@@ -293,6 +327,38 @@ def test_mlp_gradient_matches_finite_differences(rng):
         analytic = np.concatenate([gW1.ravel(), gb1, gW2, [gb2]])
         rel = np.linalg.norm(analytic - fd) / max(1.0, np.linalg.norm(analytic))
         assert rel <= 1e-5
+
+
+def _separated2_pattern_arm():
+    # one pattern of a separated2 cohort, min-max scaled and balanced by SMOTE
+    sample = synthcohort.generate(synthcohort.separated_spec(2), 1500, seed=1)
+    pattern = sample.dataset.take(np.flatnonzero(sample.true_pattern == 0))
+    ds = dataset.apply_normalizer(dataset.fit_normalizer(pattern), pattern)
+    res = smote(ds.X, ds.y, 5, 1.0, seed=1)
+    return res.X, res.y
+
+
+def _edx_cohort():
+    sample = synthcohort.generate(synthcohort.edx_cohort_spec(), 20000, seed=0)
+    ds = dataset.apply_normalizer(dataset.fit_normalizer(sample.dataset), sample.dataset)
+    return ds.X, ds.y
+
+
+@pytest.mark.parametrize("data", [_separated2_pattern_arm, _edx_cohort],
+                         ids=["separated2-arm", "edx-cohort"])
+def test_lr_reaches_the_optimum(data):
+    X, y = data()
+    m = clf.fit("LR", X, y, seed=0)
+    lam = 1.0 / m.hyperparams["reg_factor"]
+    y = y.astype(np.float64)
+    loss, gw, gb = linear.lr_loss_grad(m.state.weights, m.state.bias, X, y, lam)
+    oracle = oracles.lr_optimum(X, y, lam)
+    assert loss <= oracle + 1e-9 * max(1.0, abs(oracle))
+    assert max(np.abs(gw).max(), abs(gb)) <= 1e-6
+    assert m.meta["converged"] is True
+    assert m.meta["final_loss"] == loss  # the loss at the saved state, bit for bit
+    one = clf.fit("LR", X, y, {"max_iter": 1}, seed=0)
+    assert one.meta["converged"] is False and one.meta["n_iter"] == 1
 
 
 def test_gbt_leaf_weight_examples_and_oracle(rng):
@@ -479,6 +545,40 @@ def test_hyperparameters_are_kept_as_given():
     assert m.hyperparams["C"] == 5 and type(m.hyperparams["C"]) is int
     assert json.dumps(clf.model_to_dict(m)["hyperparams"], sort_keys=True).startswith(
         '{"C": 5, "gamma": 1,')
+
+
+# one non-default value for every hyperparameter of every family
+KNOB_VALUES = {
+    "LR": {"reg_factor": 0.01, "max_iter": 1},
+    "DT": {"min_split": 20, "min_leaf": 10, "max_depth": 2},
+    "RF": {"n_trees": 3, "max_depth": 2, "min_leaf": 10, "min_split": 20, "bootstrap": False,
+           "feature_subsample": None},
+    "KNN": {"n_neighbors": 1},
+    "MLP": {"hidden": 5, "alpha": 1.0, "learning_rate": 0.01, "batch_size": 8, "max_epochs": 3,
+            "stop_tol": 0.1},
+    "SVC": {"C": 0.1, "gamma": 2.0, "tol": 0.5, "max_passes": 1, "max_sweeps": 1},
+    "GBT": {"max_depth": 1, "n_trees": 3, "learning_rate": 0.1, "reg_lambda": 10.0,
+            "reg_gamma": 1.0, "min_child_weight": 5.0, "min_leaf": 10},
+}
+
+
+@pytest.mark.parametrize("alg", clf.ALGORITHMS)
+def test_every_hyperparameter_changes_the_fit(alg):
+    # a knob that leaves both the fitted state and the fit's meta unchanged does nothing
+    rng = np.random.default_rng(0)
+    X = rng.normal(size=(60, 3))
+    y = (X[:, 0] - X[:, 1] + rng.normal(scale=0.8, size=60) > 0).astype(int)
+    defaults = dataclasses.asdict(clf.FAMILIES[alg].params())
+    assert set(KNOB_VALUES[alg]) == set(defaults)
+
+    def fitted(params):
+        d = clf.model_to_dict(clf.fit(alg, X, y, params, seed=0))
+        return json.dumps([d["state"], d["meta"]], sort_keys=True)
+
+    base = fitted(None)
+    for key, value in KNOB_VALUES[alg].items():
+        assert value != defaults[key], key
+        assert fitted({key: value}) != base, key
 
 
 @pytest.mark.parametrize("subsample", [None, "sqrt", 1, 2])

@@ -1,4 +1,5 @@
 import json
+import shutil
 import time
 
 import numpy as np
@@ -198,6 +199,17 @@ def test_cluster_out_of_range_flag_exits_2_before_stage1(workspace, tmp_path, fl
 
 def test_explain_missing_pattern_exits_2(run_dir):
     assert run_cli("explain", "--run-dir", run_dir / "a", "--pattern", 9) == 2
+
+
+def test_explain_run_naming_a_removed_key_exits_2(run_dir, tmp_path):
+    # a run directory written before GBT max_iterations was removed
+    old = tmp_path / "old"
+    shutil.copytree(run_dir / "a", old, ignore=shutil.ignore_patterns("explain"))
+    state = json.loads((old / "run_state.json").read_text())
+    state["config"]["pattern_hparams"][0]["GBT"]["max_iterations"] = 50
+    (old / "run_state.json").write_text(json.dumps(state))
+    assert run_cli("explain", "--run-dir", old, "--pattern", 0) == 2
+    assert not (old / "explain").exists()
 
 
 def test_run_arm_selection(workspace, tmp_path):

@@ -247,6 +247,15 @@ def test_config_rejects_misspelt_hyperparameters():
         pl.RunConfig(pattern_hparams=({"RF": {"n_tree": 5}},))
     with pytest.raises(ConfigError, match="leaf_size"):  # removed: it was never read
         pl.RunConfig.from_dict({"direct_hparams": {"KNN": {"leaf_size": 30}}})
+    # removed: doubled (GBT), single-valued (SVC, MLP) or replaced by Newton's method (LR)
+    for alg, key, value in REMOVED_KEYS:
+        with pytest.raises(ConfigError, match=key):
+            pl.RunConfig.from_dict({"direct_hparams": {alg: {key: value}}})
+
+
+REMOVED_KEYS = (("GBT", "max_iterations", 50), ("SVC", "kernel", "rbf"),
+                ("MLP", "activation", "tanh"), ("LR", "stop_tol", 0.002),
+                ("LR", "learning_rate", 0.1))
 
 
 @pytest.mark.parametrize("doc, key", [
