@@ -1,6 +1,8 @@
 """L2-regularized logistic regression solved by damped Newton's method: Newton
 steps on the ``lr_loss_grad`` objective (the bias is not penalized), halved until
-the Armijo condition holds, until every gradient component is within ``GRAD_TOL``."""
+the Armijo condition holds, until every gradient component is within ``GRAD_TOL``
+or float64 rounding hides further progress (``converged`` if the loss cannot tell
+that point from the optimum)."""
 
 from __future__ import annotations
 
@@ -67,7 +69,14 @@ def fit_lr(X, y, params: LRParams, seed: int):
             if loss_t <= loss + 1e-4 * t * float(grad @ step):
                 break
         if not (loss_t < loss or np.abs(grad_t).max() < np.abs(grad).max()):
-            break  # float64 rounding hides any further progress
+            # float64 rounding hides further progress: converged if the full step's model
+            # decrease is within the first-order bound on the loss's float64 error,
+            # (n + p + 4) u (mean_i(softplus(z_i) + a_i) + penalty), a_i = |A_i| @ |theta|
+            size = np.logaddexp(0.0, A @ theta) + np.abs(A) @ np.abs(theta)
+            penalty = lam / (2.0 * n) * float(theta[:p] @ theta[:p])
+            error = (n + p + 4) * 2.0 ** -53 * (float(size.mean()) + penalty)
+            converged = abs(float(grad @ step)) / 2.0 <= error  # an uphill step is no optimum
+            break
         theta, loss, grad, n_iter = theta + t * step, loss_t, grad_t, n_iter + 1
     meta = {"n_iter": n_iter, "final_loss": loss, "converged": converged}
     return LRState(theta[:p].copy(), float(theta[p])), meta

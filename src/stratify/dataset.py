@@ -1,18 +1,23 @@
 """Ingestion and preprocessing of person-course style CSV records.
 
-The flow is load -> clean -> encode -> (normalize, split). ``load_person_course``
-keeps cells raw (missing values become ``None``), ``clean`` drops incomplete or
-inconsistent rows, ``encode`` turns the surviving rows into an all-numeric
-``LabeledDataset``. Normalization is min-max to [0, 1], fitted on training rows
-only; categorical features with more than two levels are frequency-encoded
-(share of rows in the fitting table), two-level ones are mapped to {0, 1}.
+The flow is load -> clean -> encode -> (normalize, split), on whole columns:
+``load_person_course`` parses blocks of rows into one numpy array per column
+(missing values become NaN or ``None``), so no file is held as one Python object
+per cell; ``clean`` drops incomplete or inconsistent rows by masks, ``encode``
+turns the survivors into an all-numeric ``LabeledDataset``. Normalization is
+min-max to [0, 1], fitted on training rows only; categorical features with more
+than two levels are frequency-encoded (share of rows in the fitting table),
+two-level ones are mapped to {0, 1}.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+import warnings
+from collections import Counter
 from dataclasses import dataclass, field
+from itertools import islice
 
 import numpy as np
 
@@ -24,6 +29,7 @@ FEATURE_ROLES = ("background", "behavior")
 
 _MISSING_MARKERS = {"", "na", "nan", "null", "none"}
 _TRUTHY_FLAGS = {"1", "true", "t", "yes", "y", "incomplete", "inconsistent"}
+_BLOCK_ROWS = 8192  # CSV rows parsed or written at a time: bounds the Python objects alive
 
 
 @dataclass(frozen=True)
@@ -66,12 +72,6 @@ class FeatureSchema:
     def columns(self) -> tuple[str, ...]:
         return self.feature_names + (self.outcome,)
 
-    def feature(self, name: str) -> Feature:
-        for f in self.features:
-            if f.name == name:
-                return f
-        raise KeyError(name)
-
     def role_names(self, role: str) -> tuple[str, ...]:
         return tuple(f.name for f in self.features if f.role == role)
 
@@ -113,19 +113,18 @@ def edx_schema() -> FeatureSchema:
 
 @dataclass
 class RawTable:
-    """Column-oriented record table. Cells are python scalars; ``None`` marks missing."""
+    """One array per column: float64 with NaN for a missing number, or ``str`` objects
+    (one object per distinct label) with ``None`` for a missing category. Lists are
+    accepted wherever a column is read."""
 
-    columns: dict[str, list]
+    columns: dict[str, np.ndarray]
 
     @property
     def n_rows(self) -> int:
         return len(next(iter(self.columns.values()))) if self.columns else 0
 
-    def row(self, i: int) -> dict:
-        return {k: v[i] for k, v in self.columns.items()}
-
     def take(self, idx) -> "RawTable":
-        return RawTable({k: [v[i] for i in idx] for k, v in self.columns.items()})
+        return RawTable({k: np.asarray(v)[idx] for k, v in self.columns.items()})
 
 
 @dataclass
@@ -175,29 +174,55 @@ class LabeledDataset:
         idx = np.asarray(idx)
         return LabeledDataset(self.X[idx].copy(), self.y[idx].copy(), self.schema)
 
-    def with_features(self, X: np.ndarray) -> "LabeledDataset":
-        return LabeledDataset(X, self.y.copy(), self.schema)
 
-
-def _parse_cell(raw: str, kind: str, row_no: int, col: str):
-    s = raw.strip()
-    if s.lower() in _MISSING_MARKERS:
-        return None
-    if kind == "categorical":
-        return s
-    try:
-        val = float(s)
+def _numbers(cells) -> np.ndarray:
+    """Numeric cells as float64, NaN for a missing marker; ValueError if one is unparseable.
+    NaN stands only for missing: a cell that parses to NaN ("-nan") is stored as +inf,
+    which ``clean`` and ``encode`` treat as they would NaN."""
+    try:  # a block of plain numbers needs no stripping and no marker test
+        vals = np.fromiter(map(float, cells), np.float64, len(cells))
+        redo = np.flatnonzero(np.isnan(vals))
     except ValueError:
-        raise DataError(f"unparseable numeric cell {raw!r} in column {col!r} at data row {row_no}")
-    return val
+        vals, redo = np.empty(len(cells)), range(len(cells))
+    for i in redo:
+        s = cells[i].strip()
+        if s.lower() in _MISSING_MARKERS:
+            vals[i] = np.nan
+        else:
+            vals[i] = v if (v := float(s)) == v else np.inf
+    return vals
+
+
+def _labels(cells, seen: dict) -> np.ndarray:
+    """Stripped labels, None for a missing marker; a label in ``seen`` reuses its object."""
+    label = {}
+    for cell in set(cells):
+        s = cell.strip()
+        label[cell] = None if s.lower() in _MISSING_MARKERS else seen.setdefault(s, s)
+    return np.fromiter(map(label.__getitem__, cells), object, len(cells))
+
+
+def _bad_row(rows, columns: list[str], parse, first_row_no: int) -> DataError | None:
+    """The error for the first row of the wrong length or with a cell ``parse`` rejects."""
+    for row_no, row in enumerate(rows, first_row_no):
+        if len(row) != len(columns):
+            return DataError(f"data row {row_no} has {len(row)} cells; expected {len(columns)}")
+        for c, cell in zip(columns, row):
+            try:
+                parse(cell)
+            except ValueError:
+                return DataError(f"unparseable numeric cell {cell!r} in column {c!r} "
+                                 f"at data row {row_no}")
+    return None
 
 
 def load_person_course(path, schema: FeatureSchema) -> RawTable:
     """Read a person-course CSV into a RawTable; no missing-value coercion yet.
 
-    Header must contain every schema column (case-sensitive). Missing cells pass
-    through as ``None`` for ``clean`` to drop; a non-missing cell that fails
-    numeric parsing is an error reported with its data row number (1-based).
+    Header must contain every schema column (case-sensitive). Missing cells (a
+    marker in any case and padding, or absent from a short row) pass through for
+    ``clean`` to drop; a non-missing cell that fails numeric parsing is an error
+    reported with its data row number (1-based, blank lines not counted).
     """
     try:
         fh = open(path, "r", encoding="utf-8", newline="")
@@ -216,73 +241,59 @@ def load_person_course(path, schema: FeatureSchema) -> RawTable:
         flags = [c for c in schema.flag_columns if c in header]
         wanted = list(schema.columns) + flags
         pos = {c: header.index(c) for c in wanted}
-        kinds = {f.name: f.kind for f in schema.features}
-        kinds[schema.outcome] = "binary"
-        for c in flags:
-            kinds[c] = "categorical"
+        labels = {f.name for f in schema.features if f.kind == "categorical"} | set(flags)
 
-        columns: dict[str, list] = {c: [] for c in wanted}
-        row_no = 0
-        for row in reader:
-            if not row or all(not c.strip() for c in row):
-                continue
-            row_no += 1
-            for c in wanted:
-                try:
-                    cell = row[pos[c]]
-                except IndexError:
-                    cell = ""
-                columns[c].append(_parse_cell(cell, kinds[c], row_no, c))
-        if row_no == 0:
+        blocks: dict[str, list] = {c: [] for c in wanted}
+        seen: dict[str, str] = {}
+        pad = [""] * len(header)
+        rows = (row + pad[len(row):]  # a short row's missing cells are blank
+                for row in reader if "".join(row).strip())  # a blank line is no row
+        n_rows = 0
+        while block := list(islice(rows, _BLOCK_ROWS)):
+            by_column = list(zip(*block))
+            cells = {c: by_column[pos[c]] for c in wanted}
+            try:
+                for c in wanted:
+                    blocks[c].append(_labels(cells[c], seen) if c in labels
+                                     else _numbers(cells[c]))
+            except ValueError:  # name the first bad cell in file order
+                numeric = [c for c in wanted if c not in labels]
+                raise _bad_row(zip(*(cells[c] for c in numeric)), numeric,
+                               lambda cell: _numbers([cell]), n_rows + 1) from None
+            n_rows += len(block)
+        if n_rows == 0:
             raise DataError("no rows")
-    return RawTable(columns)
-
-
-def _row_is_inconsistent(table: RawTable, schema: FeatureSchema, i: int) -> bool:
-    # binary fields outside {0,1} and negative counts violate record invariants
-    for f in schema.features:
-        v = table.columns[f.name][i]
-        if f.kind == "binary" and v not in (0.0, 1.0):
-            return True
-        if f.kind == "count" and v < 0:
-            return True
-    if table.columns[schema.outcome][i] not in (0.0, 1.0):
-        return True
-    return False
+    return RawTable({c: np.concatenate(blocks.pop(c)) for c in wanted})
 
 
 def clean(table: RawTable, schema: FeatureSchema) -> tuple[RawTable, CleanStats]:
-    """Drop rows with missing values, truthy quality flags, or invariant violations.
-
-    Idempotent: running clean on its own output changes nothing. Raises if no
-    row survives.
+    """Drop rows with missing values, truthy quality flags, or invariant violations
+    (binary fields or outcome outside {0, 1}, negative counts), counting each row
+    under the first that holds. Idempotent. Raises if no row survives.
     """
+    kinds = {f.name: f.kind for f in schema.features} | {schema.outcome: "binary"}
+    cols = {c: np.asarray(table.columns[c], dtype=object if kind == "categorical" else float)
+            for c, kind in kinds.items()}
+    missing = np.zeros(table.n_rows, dtype=bool)
+    bad = np.zeros_like(missing)
+    for c, kind in kinds.items():
+        missing |= np.equal(cols[c], None) if kind == "categorical" else np.isnan(cols[c])
+        if kind in ("binary", "count"):
+            bad |= ((cols[c] != 0.0) & (cols[c] != 1.0)) if kind == "binary" else cols[c] < 0
     flags = [c for c in schema.flag_columns if c in table.columns]
-    keep, n_miss, n_flag, n_bad = [], 0, 0, 0
-    for i in range(table.n_rows):
-        if any(table.columns[c][i] is None for c in schema.columns):
-            n_miss += 1
-            continue
-        flagged = False
-        for c in flags:
-            v = table.columns[c][i]
-            if v is not None and str(v).strip().lower() in _TRUTHY_FLAGS:
-                flagged = True
-                break
-        if flagged:
-            n_flag += 1
-            continue
-        if _row_is_inconsistent(table, schema, i):
-            n_bad += 1
-            continue
-        keep.append(i)
-    if not keep:
-        raise DataError("cleaning dropped all rows")
-    cleaned = table.take(keep)
-    # flag columns have served their purpose
+    flagged = np.zeros_like(missing)
     for c in flags:
-        del cleaned.columns[c]
-    return cleaned, CleanStats(len(keep), n_miss, n_flag, n_bad)
+        col = np.asarray(table.columns[c], dtype=object)
+        flagged |= np.isin(col, [v for v in set(col) if v is not None
+                                 and str(v).strip().lower() in _TRUTHY_FLAGS])
+    flagged &= ~missing
+    bad &= ~(missing | flagged)
+    keep = np.flatnonzero(~(missing | flagged | bad))
+    if len(keep) == 0:
+        raise DataError("cleaning dropped all rows")
+    # flag columns have served their purpose
+    cleaned = RawTable({c: v for c, v in table.columns.items() if c not in flags}).take(keep)
+    return cleaned, CleanStats(len(keep), int(missing.sum()), int(flagged.sum()), int(bad.sum()))
 
 
 @dataclass
@@ -299,17 +310,15 @@ class Encoder:
         for f in schema.features:
             if f.kind != "categorical":
                 continue
-            values = table.columns[f.name]
+            values = np.asarray(table.columns[f.name], dtype=object)
             levels = sorted(set(values))
             if len(levels) <= 2:
                 enc.mappings[f.name] = {"mode": "binary",
                                         "map": {lv: float(k) for k, lv in enumerate(levels)}}
             else:
-                counts = {}
-                for v in values:
-                    counts[v] = counts.get(v, 0) + 1
+                counts = Counter(values)
                 enc.mappings[f.name] = {"mode": "frequency",
-                                        "map": {lv: c / n for lv, c in sorted(counts.items())}}
+                                        "map": {lv: counts[lv] / n for lv in levels}}
         return enc
 
     def transform(self, table: RawTable) -> LabeledDataset:
@@ -320,7 +329,7 @@ class Encoder:
             if f.kind == "categorical":
                 mapping = self.mappings[f.name]["map"]
                 try:
-                    X[:, j] = [mapping[v] for v in col]
+                    X[:, j] = np.fromiter(map(mapping.__getitem__, col), np.float64, n)
                 except KeyError as e:
                     raise DataError(
                         f"category {e.args[0]!r} in {f.name!r} was not seen when the encoder was fitted")
@@ -384,7 +393,7 @@ def apply_normalizer(params: NormalizationParams, ds: LabeledDataset) -> Labeled
     safe = np.where(span == 0, 1.0, span)
     Xn = (ds.X - params.mins) / safe
     Xn[:, span == 0] = 0.0
-    return ds.with_features(Xn)
+    return LabeledDataset(Xn, ds.y.copy(), ds.schema)
 
 
 @dataclass(frozen=True)
@@ -439,24 +448,41 @@ def load_preprocess_sidecar(path) -> tuple[Encoder, NormalizationParams | None]:
             NormalizationParams.from_dict(norm) if norm else None)
 
 
-def save_dataset_csv(path, ds: LabeledDataset) -> None:
+def write_columns_csv(path, header: list[str], columns: list[np.ndarray]) -> None:
+    """Write equal-length arrays as CSV columns, a block of rows at a time; cells go
+    through ``tolist()``, so floats print by ``repr`` and integers as integers."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         w = csv.writer(fh)
-        w.writerow(list(ds.feature_names) + [ds.schema.outcome])
-        for i in range(ds.n):
-            w.writerow([repr(float(v)) for v in ds.X[i]] + [int(ds.y[i])])
+        w.writerow(header)
+        for start in range(0, len(columns[0]), _BLOCK_ROWS):
+            w.writerows(zip(*(c[start:start + _BLOCK_ROWS].tolist() for c in columns)))
+
+
+def save_dataset_csv(path, ds: LabeledDataset) -> None:
+    write_columns_csv(path, list(ds.feature_names) + [ds.schema.outcome], [*ds.X.T, ds.y])
 
 
 def load_dataset_csv(path, schema: FeatureSchema) -> LabeledDataset:
-    """Read back a numeric dataset written by ``save_dataset_csv``."""
+    """Read back a numeric dataset written by ``save_dataset_csv``, straight into one
+    float64 array. A row of the wrong length or a cell that is not a number is a
+    DataError naming its 1-based data row (and the column of a bad cell)."""
+    expect = list(schema.feature_names) + [schema.outcome]
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
-        expect = list(schema.feature_names) + [schema.outcome]
+        header = next(reader, [])
         if header != expect:
             raise DataError(f"dataset columns {header} do not match schema {expect}")
-        rows = [[float(v) for v in row] for row in reader if row]
-    if not rows:
+        try:
+            with warnings.catch_warnings():  # a file without rows is reported as "no rows"
+                warnings.simplefilter("ignore", UserWarning)
+                arr = np.loadtxt(fh, delimiter=",", comments=None, quotechar='"', ndmin=2)
+            if arr.shape[0] and arr.shape[1] != len(expect):
+                raise ValueError(f"{arr.shape[1]} columns")
+        except ValueError as e:  # read the file again as text to name the row at fault
+            fh.seek(0)
+            next(reader)
+            raise (_bad_row((row for row in reader if row), expect, float, 1)
+                   or DataError(f"unreadable dataset {path}: {e}")) from None
+    if arr.shape[0] == 0:
         raise DataError("no rows")
-    arr = np.array(rows, dtype=np.float64)
     return LabeledDataset(arr[:, :-1], arr[:, -1].astype(np.int64), schema)

@@ -13,28 +13,18 @@ import json
 import time
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
 from .pipeline import DirectRun, IntegrationRun
 
 
-def _fmt(v):
-    if isinstance(v, (float, np.floating)):
-        return repr(float(v))
-    if isinstance(v, (np.integer,)):
-        return int(v)
-    return v
-
-
 def write_csv(path, header, rows) -> None:
+    """Rows of Python scalars (``tolist()`` of an array gives them): a float prints by repr."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(header)
-        for row in rows:
-            w.writerow([_fmt(v) for v in row])
+        w.writerows(rows)
 
 
 def write_json(path, doc) -> None:
@@ -96,11 +86,12 @@ def write_evaluation(rundir: RunDirectory, base: str, report) -> None:
     write_json(rundir.path(f"{base}/metrics.json"), report.to_dict())
     if report.roc is not None:
         write_csv(rundir.path(f"{base}/roc_points.csv"), ["fpr", "tpr", "threshold"],
-                  zip(report.roc.fpr, report.roc.tpr, report.roc.thresholds))
+                  zip(report.roc.fpr.tolist(), report.roc.tpr.tolist(),
+                      report.roc.thresholds.tolist()))
     if report.rates is not None:
         write_csv(rundir.path(f"{base}/violin_samples.csv"), ["replicate", "fpr", "tpr"],
                   zip(range(len(report.rates.fpr_samples)),
-                      report.rates.fpr_samples, report.rates.tpr_samples))
+                      report.rates.fpr_samples.tolist(), report.rates.tpr_samples.tolist()))
 
 
 def write_integration(rundir: RunDirectory, run: IntegrationRun) -> None:

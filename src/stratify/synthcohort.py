@@ -18,7 +18,8 @@ from statistics import NormalDist
 
 import numpy as np
 
-from .dataset import Encoder, FeatureSchema, LabeledDataset, RawTable, edx_schema, encode
+from .dataset import (Encoder, FeatureSchema, LabeledDataset, RawTable, edx_schema, encode,
+                      write_columns_csv)
 from .errors import DataError
 from .rng import derive_rng
 
@@ -202,8 +203,7 @@ def generate(spec: CohortSpec, n: int, seed: int) -> CohortSample:
     assign = derive_rng(seed, "assign").choice(k, size=n, p=weights)
     schema = spec.schema
 
-    columns: dict[str, list] = {name: [None] * n for name in schema.columns}
-    order = np.argsort(assign, kind="stable")
+    columns: dict[str, np.ndarray] = {}
     empty = tuple(int(c) for c in range(k) if not np.any(assign == c))
 
     for c in range(k):
@@ -221,9 +221,7 @@ def generate(spec: CohortSpec, n: int, seed: int) -> CohortSample:
                     raise DataError(f"gate {gen.gate!r} must be generated before {name!r}")
                 vals = vals * np.asarray(values[gen.gate])
             values[name] = vals
-            col = columns[name]
-            for pos, i in enumerate(rows):
-                col[i] = vals[pos]
+            _store(columns, name, rows, vals, n)
         # outcome: logistic over standardized behavior features
         shift = np.zeros(m)
         for name, w in pat.outcome.weights.items():
@@ -235,27 +233,29 @@ def generate(spec: CohortSpec, n: int, seed: int) -> CohortSample:
              else calibrate_intercept(shift, pat.outcome.target_rate))
         prob = 1.0 / (1.0 + np.exp(-(b + shift)))
         draws = derive_rng(seed, "outcome", c).random(m)
-        ys = (draws < prob).astype(np.int64)
-        col = columns[schema.outcome]
-        for pos, i in enumerate(rows):
-            col[i] = ys[pos]
+        _store(columns, schema.outcome, rows, (draws < prob).astype(np.int64), n)
 
     raw = RawTable(columns)
     dataset, encoder = encode(raw, schema)
     return CohortSample(raw, dataset, assign.astype(np.int64), encoder, empty)
 
 
+def _store(columns: dict, name: str, rows: np.ndarray, vals: np.ndarray, n: int) -> None:
+    # one pattern's draws go to their rows with one slice; patterns whose draws differ
+    # in dtype share an object column, so each cell still prints as its draw did
+    col = columns.get(name)
+    if col is None:
+        col = columns[name] = np.empty(n, dtype=vals.dtype)
+    elif col.dtype != vals.dtype:
+        col = columns[name] = col.astype(object)
+    col[rows] = vals
+
+
 def save_cohort_csv(path, sample: CohortSample) -> None:
     """Cohort in the ingestion schema plus a true_pattern column."""
-    import csv
-
     schema = sample.dataset.schema
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(list(schema.columns) + ["true_pattern"])
-        for i in range(sample.raw.n_rows):
-            row = [sample.raw.columns[c][i] for c in schema.columns]
-            w.writerow(row + [int(sample.true_pattern[i])])
+    write_columns_csv(path, list(schema.columns) + ["true_pattern"],
+                      [sample.raw.columns[c] for c in schema.columns] + [sample.true_pattern])
 
 
 # ---------------------------------------------------------------------------

@@ -4,13 +4,17 @@ Everything here is written as plain textbook loops, deliberately sharing no
 code with the package: partition costs by exhaustive enumeration, validity
 indices straight from their formulas, AUC by pair counting, Shapley values via
 the permutation definition, gradients by central differences, the
-logistic-regression optimum by scipy's L-BFGS-B. The one
-exception is ``frozen_lloyd``: a verbatim copy of an earlier Lloyd
-implementation, kept so a faster rewrite can be checked bit for bit.
+logistic-regression optimum by scipy's L-BFGS-B. The
+exceptions are ``frozen_lloyd`` and the ``frozen_*`` CSV functions: verbatim
+copies of earlier implementations (Lloyd; the cell-by-cell ingest, encoding
+and CSV reading and writing), kept so a faster rewrite can be checked bit for
+bit.
 """
 
+import csv
 import itertools
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -393,3 +397,198 @@ def smote_dense(X, y, k_neighbors, target_ratio, rng):
     neighbor = min_rows[neighbors[parent_local, pick]]
     X_new = X[parent] + u[:, None] * (X[neighbor] - X[parent])
     return np.vstack([X, X_new]), parent, neighbor, u
+
+
+# ---------------------------------------------------------------------------
+# the cell-by-cell CSV path, frozen: one python object per cell, row loops
+# ---------------------------------------------------------------------------
+
+_FROZEN_MISSING_MARKERS = {"", "na", "nan", "null", "none"}
+_FROZEN_TRUTHY_FLAGS = {"1", "true", "t", "yes", "y", "incomplete", "inconsistent"}
+
+
+@dataclass
+class FrozenTable:
+    """The record table as it was: python scalars per cell, ``None`` for missing."""
+
+    columns: dict
+
+    @property
+    def n_rows(self):
+        return len(next(iter(self.columns.values()))) if self.columns else 0
+
+    def take(self, idx):
+        return FrozenTable({k: [v[i] for i in idx] for k, v in self.columns.items()})
+
+
+def _frozen_parse_cell(raw, kind, row_no, col):
+    from stratify.errors import DataError
+
+    s = raw.strip()
+    if s.lower() in _FROZEN_MISSING_MARKERS:
+        return None
+    if kind == "categorical":
+        return s
+    try:
+        val = float(s)
+    except ValueError:
+        raise DataError(f"unparseable numeric cell {raw!r} in column {col!r} at data row {row_no}")
+    return val
+
+
+def frozen_load_person_course(path, schema):
+    from stratify.errors import DataError
+
+    try:
+        fh = open(path, "r", encoding="utf-8", newline="")
+    except FileNotFoundError:
+        raise DataError(f"missing file: {path}")
+    with fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise DataError("no rows: file is empty")
+        header = [h.strip() for h in header]
+        missing = [c for c in schema.columns if c not in header]
+        if missing:
+            raise DataError(f"missing column(s): {', '.join(missing)}")
+        flags = [c for c in schema.flag_columns if c in header]
+        wanted = list(schema.columns) + flags
+        pos = {c: header.index(c) for c in wanted}
+        kinds = {f.name: f.kind for f in schema.features}
+        kinds[schema.outcome] = "binary"
+        for c in flags:
+            kinds[c] = "categorical"
+
+        columns = {c: [] for c in wanted}
+        row_no = 0
+        for row in reader:
+            if not row or all(not c.strip() for c in row):
+                continue
+            row_no += 1
+            for c in wanted:
+                try:
+                    cell = row[pos[c]]
+                except IndexError:
+                    cell = ""
+                columns[c].append(_frozen_parse_cell(cell, kinds[c], row_no, c))
+        if row_no == 0:
+            raise DataError("no rows")
+    return FrozenTable(columns)
+
+
+def _frozen_row_is_inconsistent(table, schema, i):
+    for f in schema.features:
+        v = table.columns[f.name][i]
+        if f.kind == "binary" and v not in (0.0, 1.0):
+            return True
+        if f.kind == "count" and v < 0:
+            return True
+    if table.columns[schema.outcome][i] not in (0.0, 1.0):
+        return True
+    return False
+
+
+def frozen_clean(table, schema):
+    """Returns (table, (kept, dropped_missing, dropped_flagged, dropped_inconsistent))."""
+    from stratify.errors import DataError
+
+    flags = [c for c in schema.flag_columns if c in table.columns]
+    keep, n_miss, n_flag, n_bad = [], 0, 0, 0
+    for i in range(table.n_rows):
+        if any(table.columns[c][i] is None for c in schema.columns):
+            n_miss += 1
+            continue
+        flagged = False
+        for c in flags:
+            v = table.columns[c][i]
+            if v is not None and str(v).strip().lower() in _FROZEN_TRUTHY_FLAGS:
+                flagged = True
+                break
+        if flagged:
+            n_flag += 1
+            continue
+        if _frozen_row_is_inconsistent(table, schema, i):
+            n_bad += 1
+            continue
+        keep.append(i)
+    if not keep:
+        raise DataError("cleaning dropped all rows")
+    cleaned = table.take(keep)
+    for c in flags:
+        del cleaned.columns[c]
+    return cleaned, (len(keep), n_miss, n_flag, n_bad)
+
+
+def frozen_encode(table, schema):
+    """Returns (X, y, mappings)."""
+    from stratify.dataset import LabeledDataset
+    from stratify.errors import DataError
+
+    mappings = {}
+    n = table.n_rows
+    for f in schema.features:
+        if f.kind != "categorical":
+            continue
+        values = table.columns[f.name]
+        levels = sorted(set(values))
+        if len(levels) <= 2:
+            mappings[f.name] = {"mode": "binary",
+                                "map": {lv: float(k) for k, lv in enumerate(levels)}}
+        else:
+            counts = {}
+            for v in values:
+                counts[v] = counts.get(v, 0) + 1
+            mappings[f.name] = {"mode": "frequency",
+                                "map": {lv: c / n for lv, c in sorted(counts.items())}}
+    X = np.empty((n, len(schema.features)), dtype=np.float64)
+    for j, f in enumerate(schema.features):
+        col = table.columns[f.name]
+        if f.kind == "categorical":
+            mapping = mappings[f.name]["map"]
+            try:
+                X[:, j] = [mapping[v] for v in col]
+            except KeyError as e:
+                raise DataError(
+                    f"category {e.args[0]!r} in {f.name!r} was not seen when the encoder was fitted")
+        else:
+            X[:, j] = col
+    y = np.asarray(table.columns[schema.outcome], dtype=np.int64)
+    ds = LabeledDataset(X, y, schema)  # rejects missing or non-finite values
+    return ds.X, ds.y, mappings
+
+
+def frozen_save_dataset_csv(path, ds):
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(list(ds.feature_names) + [ds.schema.outcome])
+        for i in range(ds.n):
+            w.writerow([repr(float(v)) for v in ds.X[i]] + [int(ds.y[i])])
+
+
+def frozen_load_dataset_csv(path, schema):
+    """Returns (X, y) as the loader built them."""
+    from stratify.errors import DataError
+
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader)
+        expect = list(schema.feature_names) + [schema.outcome]
+        if header != expect:
+            raise DataError(f"dataset columns {header} do not match schema {expect}")
+        rows = [[float(v) for v in row] for row in reader if row]
+    if not rows:
+        raise DataError("no rows")
+    arr = np.array(rows, dtype=np.float64)
+    return arr[:, :-1], arr[:, -1].astype(np.int64)
+
+
+def frozen_save_cohort_csv(path, columns, true_pattern, schema):
+    """``columns`` holds one list of numpy scalars (or strings) per schema column."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(list(schema.columns) + ["true_pattern"])
+        for i in range(len(true_pattern)):
+            row = [columns[c][i] for c in schema.columns]
+            w.writerow(row + [int(true_pattern[i])])

@@ -302,6 +302,42 @@ def test_lr_reaches_the_optimum(data):
     assert one.meta["converged"] is False and one.meta["n_iter"] == 1
 
 
+def _badly_scaled_problem():
+    # one of 600 random problems (2-400 rows, 1-11 features scaled by 1e-3, 1 or 30,
+    # reg_factor 1e-3 to 1e6); this one has 115 rows of 3 features scaled by 30
+    rng = np.random.default_rng(185)
+    n, p = int(rng.integers(2, 401)), int(rng.integers(1, 12))
+    X = rng.normal(size=(n, p)) * 30.0
+    w = rng.normal(size=p) / 30.0
+    y = (rng.random(n) < 1.0 / (1.0 + np.exp(-(X @ w)))).astype(np.float64)
+    return X, y, float(10 ** rng.uniform(-3, 6))
+
+
+def test_lr_reports_converged_at_the_float64_floor():
+    X, y, reg_factor = _badly_scaled_problem()
+    lam = 1.0 / reg_factor
+    state, meta = linear.fit_lr(X, y, linear.LRParams(reg_factor=reg_factor), seed=0)
+    loss, gw, gb = linear.lr_loss_grad(state.weights, state.bias, X, y, lam)
+    # the fit ends on the rounding stop, its gradient above the absolute tolerance,
+    # with the loss at the L-BFGS-B optimum
+    assert meta["n_iter"] == 17 and meta["final_loss"] == loss
+    assert max(np.abs(gw).max(), abs(gb)) > 100 * linear.GRAD_TOL
+    assert loss <= oracles.lr_optimum(X, y, lam) + 1e-15
+    assert meta["converged"] is True
+    _, capped = linear.fit_lr(X, y, linear.LRParams(reg_factor=reg_factor, max_iter=1), seed=0)
+    assert capped["converged"] is False and capped["n_iter"] == 1
+
+
+def test_lr_rounding_stop_away_from_the_optimum_is_not_converged(monkeypatch):
+    # every Newton step reversed: no step size lowers the loss, so the fit ends on the
+    # rounding stop at its start, far from the optimum
+    X, y, reg_factor = _badly_scaled_problem()
+    lstsq = np.linalg.lstsq
+    monkeypatch.setattr(linear.np.linalg, "lstsq", lambda *a, **k: (-lstsq(*a, **k)[0],))
+    _, meta = linear.fit_lr(X, y, linear.LRParams(reg_factor=reg_factor), seed=0)
+    assert meta["n_iter"] == 0 and meta["converged"] is False
+
+
 def test_mlp_gradient_matches_finite_differences(rng):
     for _ in range(5):
         n, p, h = 8, 3, 4
@@ -327,38 +363,6 @@ def test_mlp_gradient_matches_finite_differences(rng):
         analytic = np.concatenate([gW1.ravel(), gb1, gW2, [gb2]])
         rel = np.linalg.norm(analytic - fd) / max(1.0, np.linalg.norm(analytic))
         assert rel <= 1e-5
-
-
-def _separated2_pattern_arm():
-    # one pattern of a separated2 cohort, min-max scaled and balanced by SMOTE
-    sample = synthcohort.generate(synthcohort.separated_spec(2), 1500, seed=1)
-    pattern = sample.dataset.take(np.flatnonzero(sample.true_pattern == 0))
-    ds = dataset.apply_normalizer(dataset.fit_normalizer(pattern), pattern)
-    res = smote(ds.X, ds.y, 5, 1.0, seed=1)
-    return res.X, res.y
-
-
-def _edx_cohort():
-    sample = synthcohort.generate(synthcohort.edx_cohort_spec(), 20000, seed=0)
-    ds = dataset.apply_normalizer(dataset.fit_normalizer(sample.dataset), sample.dataset)
-    return ds.X, ds.y
-
-
-@pytest.mark.parametrize("data", [_separated2_pattern_arm, _edx_cohort],
-                         ids=["separated2-arm", "edx-cohort"])
-def test_lr_reaches_the_optimum(data):
-    X, y = data()
-    m = clf.fit("LR", X, y, seed=0)
-    lam = 1.0 / m.hyperparams["reg_factor"]
-    y = y.astype(np.float64)
-    loss, gw, gb = linear.lr_loss_grad(m.state.weights, m.state.bias, X, y, lam)
-    oracle = oracles.lr_optimum(X, y, lam)
-    assert loss <= oracle + 1e-9 * max(1.0, abs(oracle))
-    assert max(np.abs(gw).max(), abs(gb)) <= 1e-6
-    assert m.meta["converged"] is True
-    assert m.meta["final_loss"] == loss  # the loss at the saved state, bit for bit
-    one = clf.fit("LR", X, y, {"max_iter": 1}, seed=0)
-    assert one.meta["converged"] is False and one.meta["n_iter"] == 1
 
 
 def test_gbt_leaf_weight_examples_and_oracle(rng):

@@ -55,6 +55,24 @@ def test_ingest_missing_file_exits_2(tmp_path):
     assert run_cli("ingest", "--data", tmp_path / "nope.csv", "--out", tmp_path / "o") == 2
 
 
+@pytest.mark.parametrize("command", ["cluster", "run"])
+@pytest.mark.parametrize("edit, message", [
+    (lambda cells: cells.__setitem__(6, "many"), "'many' in column 'nevents' at data row 3"),
+    (lambda cells: cells.pop(), "data row 3 has 10 cells"),
+], ids=["bad-cell", "short-row"])
+def test_bad_encoded_csv_exits_2_naming_the_row(workspace, tmp_path, capsys, command, edit,
+                                                 message):
+    lines = (workspace / "ingest" / "clean.csv").read_text().splitlines()
+    cells = lines[3].split(",")
+    edit(cells)
+    lines[3] = ",".join(cells)
+    bad = tmp_path / "clean.csv"
+    bad.write_text("\n".join(lines) + "\n")
+    assert run_cli(command, "--data", bad, "--out", tmp_path / "out") == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_cluster_default_range_and_fixed(workspace, tmp_path):
     clean = workspace / "ingest" / "clean.csv"
     out = tmp_path / "cluster"

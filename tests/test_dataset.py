@@ -1,12 +1,17 @@
+import struct
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from stratify import synthcohort
 from stratify.dataset import (Encoder, Feature, FeatureSchema, RawTable, apply_normalizer,
                               clean, edx_schema, encode, fit_normalizer, load_dataset_csv,
                               load_person_course, load_preprocess_sidecar,
                               save_dataset_csv, save_preprocess_sidecar, stratified_split)
 from stratify.errors import DataError
 
+import oracles
 from conftest import make_dataset, random_labeled
 
 EDX_HEADER = "age,gender,country,viewed,explored,ndays_act,nevents,nplay_video,nchapters,nforum_posts,certified"
@@ -64,7 +69,7 @@ def test_load_unparseable_cell_reports_row(tmp_path):
 def test_blank_cell_survives_load_then_clean_drops_it(tmp_path):
     path = write_csv(tmp_path, EDX_HEADER + "\n30,m,US,1,0,3,,2,1,0,0\n31,f,US,1,0,3,9,2,1,0,1\n")
     raw = load_person_course(path, edx_schema())
-    assert raw.columns["nevents"][0] is None
+    assert np.isnan(raw.columns["nevents"][0])  # a missing number is NaN
     cleaned, stats = clean(raw, edx_schema())
     assert stats.kept == 1 and stats.dropped_missing == 1
 
@@ -75,7 +80,8 @@ def test_clean_keeps_valid_rows_and_is_idempotent(tmp_path):
     cleaned, stats = clean(raw, edx_schema())
     assert stats.kept == 2 and stats.dropped == 0
     again, stats2 = clean(cleaned, edx_schema())
-    assert again.columns == cleaned.columns and stats2.kept == 2
+    assert again.columns.keys() == cleaned.columns.keys() and stats2.kept == 2
+    assert all(np.array_equal(again.columns[c], cleaned.columns[c]) for c in cleaned.columns)
 
 
 def test_clean_drops_missing_flagged_inconsistent(tmp_path):
@@ -248,3 +254,223 @@ def test_dataset_csv_roundtrip(tmp_path, rng):
     back = load_dataset_csv(path, ds.schema)
     assert back.X.tobytes() == ds.X.tobytes()
     assert np.array_equal(back.y, ds.y)
+
+
+# ---------------------------------------------------------------------------
+# parity with the frozen cell-by-cell CSV path (tests/oracles.py)
+# ---------------------------------------------------------------------------
+
+FLAG_COLUMNS = ["incomplete_flag", "inconsistent_flag"]
+MISSING = ["", " ", "NA", "na", " Na ", "nan", "NaN", " NAN", "null", "NULL ", "None", " none\t"]
+NUMBERS = ["0", "1", " 1 ", "1.0", "-0.0", "0.0", "2", "3", "17", "-3", "0.5", "1e16", "1e-5",
+           "5e-324", "2.2250738585072014e-308", "inf", "-inf", "+nan", "-nan", "1_000",
+           "1E3", "+2", "\u00a07\u2003"]
+BINARY = ["0", "1", "0.0", "1.0", " 1", "-0.0", "2", "0.5", "-1"]
+LABELS = ["m", "f", " m", "f ", "o", "C01", "C02", "US", " US", "Na", "N/A", "x, y"]
+FLAGS = ["0", "1", "", "true", "True", " T ", "yes", "Y", "no", "incomplete", "INCONSISTENT",
+         "0.0", "NA", "f"]
+BAD = ["x", "1.2.3", "one", "--1", "1e", "n/a", "0x10"]
+
+
+def _messy_csv(rng, n_rows, bad_rate):
+    """A person-course CSV with shuffled, padded and extra columns, every missing
+    marker, short rows, blank lines, truthy flags, inconsistent values and, at
+    ``bad_rate``, unparseable numbers."""
+    schema = edx_schema()
+    kinds = {f.name: f.kind for f in schema.features} | {"certified": "outcome"}
+    columns = list(schema.columns) + FLAG_COLUMNS[:int(rng.integers(0, 3))] + ["note"]
+    columns = [columns[i] for i in rng.permutation(len(columns))]
+    lines = [",".join(f" {c}" if rng.random() < 0.2 else c for c in columns)]
+    for _ in range(n_rows):
+        if rng.random() < 0.05:
+            lines.append(str(rng.choice(["", " ", ",,", " , "])))
+            continue
+        cells = []
+        for c in columns:
+            kind = kinds.get(c, "flag" if c in FLAG_COLUMNS else "note")
+            r = rng.random()
+            if kind in ("categorical", "note"):
+                pool = LABELS
+            elif kind == "flag":
+                pool = FLAGS
+            elif r < bad_rate:
+                pool = BAD
+            elif kind in ("binary", "outcome"):
+                pool = BINARY if r < 0.1 else ["0", "1"]
+            else:
+                pool = NUMBERS if r < 0.03 else [repr(float(v)) for v in rng.normal(30, 10, 4)]
+            cells.append(str(rng.choice(MISSING if rng.random() < 0.04 else pool)))
+        if rng.random() < 0.03:
+            cells = cells[:int(rng.integers(1, len(cells)))]
+        lines.append(",".join(f'"{v}"' if "," in v else v for v in cells))
+    return "\n".join(lines) + "\n"
+
+
+def _same_cell(old, new):
+    if old is None:
+        return new is None or (isinstance(new, float) and np.isnan(new))
+    if isinstance(old, str):
+        return old == new
+    if old != old:  # a non-marker NaN is stored as +inf
+        return new == np.inf
+    return struct.pack("<d", old) == struct.pack("<d", new)
+
+
+def _assert_same_table(old, new):
+    assert list(old.columns) == list(new.columns)
+    for c, col in old.columns.items():
+        assert len(col) == len(new.columns[c])
+        assert all(_same_cell(a, b) for a, b in zip(col, new.columns[c].tolist())), c
+
+
+def _outcome(fn):
+    try:
+        return fn(), None
+    except DataError as e:
+        return None, str(e)
+
+
+def _check_parity(path, tmp_path):
+    schema = edx_schema()
+    old_raw, old_err = _outcome(lambda: oracles.frozen_load_person_course(path, schema))
+    new_raw, new_err = _outcome(lambda: load_person_course(path, schema))
+    assert old_err == new_err
+    if old_err:
+        return "load"
+    _assert_same_table(old_raw, new_raw)
+    old, old_err = _outcome(lambda: oracles.frozen_clean(old_raw, schema))
+    new, new_err = _outcome(lambda: clean(new_raw, schema))
+    assert old_err == new_err
+    if old_err:
+        return "clean"
+    _assert_same_table(old[0], new[0])
+    stats = new[1]
+    assert old[1] == (stats.kept, stats.dropped_missing, stats.dropped_flagged,
+                      stats.dropped_inconsistent)
+    old_enc, old_err = _outcome(lambda: oracles.frozen_encode(old[0], schema))
+    new_enc, new_err = _outcome(lambda: encode(new[0], schema))
+    assert old_err == new_err
+    if old_err:
+        return "encode"
+    X, y, mappings = old_enc
+    ds, enc = new_enc
+    assert ds.X.tobytes() == X.tobytes() and ds.y.tobytes() == y.tobytes()
+    assert enc.mappings == mappings
+    _check_dataset_csv(ds, tmp_path)
+    return "ok"
+
+
+def _check_dataset_csv(ds, tmp_path):
+    old_path, new_path = tmp_path / "old.csv", tmp_path / "new.csv"
+    oracles.frozen_save_dataset_csv(old_path, ds)
+    save_dataset_csv(new_path, ds)
+    assert new_path.read_bytes() == old_path.read_bytes()
+    X, y = oracles.frozen_load_dataset_csv(old_path, ds.schema)
+    back = load_dataset_csv(new_path, ds.schema)
+    assert back.X.tobytes() == X.tobytes() == ds.X.tobytes()
+    assert back.y.tobytes() == y.tobytes() == ds.y.tobytes()
+
+
+@pytest.mark.parametrize("bad_rate", [0.0, 0.002])
+def test_messy_csv_matches_frozen_cell_by_cell_path(tmp_path, bad_rate):
+    rng = np.random.default_rng(20 + int(bad_rate * 1000))
+    reached = []
+    for trial in range(40):
+        path = write_csv(tmp_path, _messy_csv(rng, int(rng.integers(1, 300)), bad_rate))
+        reached.append(_check_parity(path, tmp_path))
+    # the inputs reach every stage and every error path they can
+    assert "ok" in reached and "encode" in reached
+    assert ("load" in reached) == (bad_rate > 0)
+
+
+def test_short_block_boundary_and_first_bad_cell_in_file_order(tmp_path, monkeypatch):
+    # several parse blocks; the first bad cell in file order (row by row, then column)
+    # is named, although a later row fails in an earlier column
+    from stratify import dataset as dataset_mod
+
+    monkeypatch.setattr(dataset_mod, "_BLOCK_ROWS", 7)
+    rows = ["30,m,US,1,0,3,10,2,1,0,0"] * 20
+    rows[9] = "30,m,US,1,0,3,10,2,one,zero,0"
+    rows[11] = "x,m,US,1,0,3,10,2,1,0,0"
+    path = write_csv(tmp_path, EDX_HEADER + "\n" + "\n".join(rows) + "\n\n")
+    assert _check_parity(path, tmp_path) == "load"
+    with pytest.raises(DataError, match="'one' in column 'nchapters' at data row 10"):
+        load_person_course(path, edx_schema())
+    rows[9] = rows[11] = rows[0]
+    rows[13] = "30,m,US,1,0,3,NA,2,1,0,0"
+    path = write_csv(tmp_path, EDX_HEADER + "\n" + "\n".join(rows) + "\n")
+    assert _check_parity(path, tmp_path) == "ok"
+
+
+@pytest.mark.parametrize("profile", ["edx", "separated3", "mixed-dtypes"])
+def test_generated_cohort_matches_frozen_path(tmp_path, profile):
+    spec = (synthcohort.edx_cohort_spec() if profile == "edx"
+            else synthcohort.separated_spec(3))
+    if profile == "mixed-dtypes":  # integer ages in one pattern, real ones in the others
+        spec.patterns[1].features["age"] = synthcohort.FeatureGen("count", mean=40.0, sd=9.0)
+    sample = synthcohort.generate(spec, 3000, seed=7)
+    schema = sample.dataset.schema
+    as_lists = oracles.FrozenTable({c: list(v) for c, v in sample.raw.columns.items()})
+    X, y, mappings = oracles.frozen_encode(as_lists, schema)
+    assert sample.dataset.X.tobytes() == X.tobytes() and sample.dataset.y.tobytes() == y.tobytes()
+    assert sample.encoder.mappings == mappings
+    old_path, new_path = tmp_path / "old_cohort.csv", tmp_path / "cohort.csv"
+    oracles.frozen_save_cohort_csv(old_path, as_lists.columns, sample.true_pattern, schema)
+    synthcohort.save_cohort_csv(new_path, sample)
+    assert new_path.read_bytes() == old_path.read_bytes()
+    assert _check_parity(new_path, tmp_path) == "ok"
+    if profile == "mixed-dtypes":  # each age prints as drawn: integer, or real
+        ages = [line.split(",")[0] for line in new_path.read_text().splitlines()[1:]]
+        assert all(("." in a) == (p != 1) for a, p in zip(ages, sample.true_pattern))
+
+
+def test_dataset_csv_round_trips_edge_floats(tmp_path, rng):
+    bits = rng.integers(0, 2 ** 63, size=4000, dtype=np.uint64) | (
+        rng.integers(0, 2, size=4000, dtype=np.uint64) << np.uint64(63))
+    randoms = bits.view(np.float64)
+    edges = np.array([5e-324, -5e-324, 2.2250738585072014e-308, 1e-310, -0.0, 0.0, 1e16, -1e16,
+                      1e-5, 1e-4, 9999999999999998.0, 0.1 + 0.2, 1.7976931348623157e308])
+    values = np.concatenate([edges, randoms[np.isfinite(randoms)]])
+    values = values[:len(values) // 4 * 4].reshape(-1, 4)
+    y = rng.integers(0, 2, len(values))
+    ds = make_dataset(values[:, :3], y)
+    _check_dataset_csv(ds, tmp_path)
+
+
+def _traced_peak(fn):
+    tracemalloc.start()
+    try:
+        result = fn()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.fixture(scope="module")
+def edx_cohort_40k(tmp_path_factory):
+    root = tmp_path_factory.mktemp("edx40k")
+    sample = synthcohort.generate(synthcohort.edx_cohort_spec(), 40000, seed=1)
+    synthcohort.save_cohort_csv(root / "cohort.csv", sample)
+    save_dataset_csv(root / "clean.csv", sample.dataset)
+    return root
+
+
+def test_dataset_loader_peak_memory_is_within_twice_its_arrays(edx_cohort_40k):
+    # one python float per cell would take about 6x the returned float64 bytes
+    ds, peak = _traced_peak(lambda: load_dataset_csv(edx_cohort_40k / "clean.csv", edx_schema()))
+    assert ds.n == 40000
+    assert peak <= 2.0 * (ds.X.nbytes + ds.y.nbytes)
+
+
+def test_ingest_peak_memory_is_within_four_times_its_arrays(edx_cohort_40k):
+    # load -> clean -> encode holds the raw table, its cleaned copy and the matrix
+    # at once; the cell-by-cell path peaked at about 6x the returned bytes
+    schema = edx_schema()
+
+    def ingest():
+        raw = load_person_course(edx_cohort_40k / "cohort.csv", schema)
+        return encode(clean(raw, schema)[0], schema)[0]
+
+    ds, peak = _traced_peak(ingest)
+    assert ds.n == 40000
+    assert peak <= 4.0 * (ds.X.nbytes + ds.y.nbytes)

@@ -12,7 +12,11 @@ must match. The sequence, on a ``separated2`` cohort of 800 rows with seed 3:
 
 then synth, ingest and cluster on a ``separated2`` cohort of 3,000 rows, which
 is above ``select_k``'s 2,048-row sample cap, so the subsample and its top-up
-are digested too.
+are digested too; then synth and ingest on an ``edx`` cohort of 2,000 rows (the
+categorical columns, constant in that profile, binary-mapped), and synth
+``--spec`` and ingest on a 2,000-row cohort whose spec gives ``country`` three
+levels (frequency-encoded), ``gender`` two, and ``age`` integer draws in one
+pattern and real ones in the other.
 
 The digest is the sha256 of the sorted ``<command dir>/<artifact> <sha256>``
 lines taken from the ``artifacts`` map of every manifest; timestamps and other
@@ -35,7 +39,7 @@ import sys
 import tempfile
 from pathlib import Path
 
-from stratify import cli, pipeline
+from stratify import cli, pipeline, synthcohort
 
 SEED = 3
 
@@ -49,11 +53,24 @@ def _config() -> dict:
     return cfg
 
 
+def _spec() -> dict:
+    spec = synthcohort.separated_spec(2).to_dict()
+    for pattern in spec["patterns"]:
+        pattern["features"]["country"] = {"kind": "categorical", "levels": ["C01", "C02", "C03"],
+                                          "probs": [0.5, 0.3, 0.2]}
+        pattern["features"]["gender"] = {"kind": "categorical", "levels": ["f", "m"],
+                                         "probs": [0.4, 0.6]}
+    spec["patterns"][1]["features"]["age"] = {"kind": "count", "mean": 40.0, "sd": 9.0}
+    return spec
+
+
 def reference_artifacts(root) -> dict:
     """Run the sequence under ``root``; return {"<dir>/<artifact>": sha256}."""
     root = Path(root)
     cfg_path = root / "config.json"
     cfg_path.write_text(json.dumps(_config()))
+    spec_path = root / "spec.json"
+    spec_path.write_text(json.dumps(_spec()))
     clean = root / "ingest" / "clean.csv"
     steps = [
         ["synth", "--profile", "separated2", "--n", "800", "--out", root / "synth"],
@@ -67,6 +84,11 @@ def reference_artifacts(root) -> dict:
         ["ingest", "--data", root / "synth_3000" / "synth_cohort.csv",
          "--out", root / "ingest_3000"],
         ["cluster", "--data", root / "ingest_3000" / "clean.csv", "--out", root / "cluster_3000"],
+        ["synth", "--profile", "edx", "--n", "2000", "--out", root / "synth_edx"],
+        ["ingest", "--data", root / "synth_edx" / "synth_cohort.csv", "--out", root / "ingest_edx"],
+        ["synth", "--spec", spec_path, "--n", "2000", "--out", root / "synth_spec"],
+        ["ingest", "--data", root / "synth_spec" / "synth_cohort.csv",
+         "--out", root / "ingest_spec"],
     ]
     for step in steps:
         argv = [str(a) for a in step] + ["--seed", str(SEED)]
