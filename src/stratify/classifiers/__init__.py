@@ -4,8 +4,10 @@
 ``predict_scores`` output always lies in [0, 1]; ``predict_labels`` applies the
 strict ``score > threshold`` rule. Models serialize to a versioned JSON
 document that round-trips bit-exactly (JSON floats carry Python's shortest
-repr, which reconstructs the same float64). Each algorithm is one ``FAMILIES``
-record; adding an algorithm means one module plus one entry there.
+repr, which reconstructs the same float64). Format 2 stores each tree of a DT,
+RF or GBT as the flat node lists of ``trees.Tree``, which checks them again on
+load; a format-1 file (nested nodes) is refused. Each algorithm is one
+``FAMILIES`` record; adding an algorithm means one module plus one entry there.
 
 Every hyperparameter, and every ``RunConfig`` field, declares what it accepts
 once: its type in the annotation, its bounds (``gt``, ``ge``, ``lt``, ``le``)
@@ -26,9 +28,8 @@ import numpy as np
 
 from ..errors import TrainingError
 from . import boosting, linear, neighbors, neural, svm, trees
-from .trees import TreeNode
 
-MODEL_FORMAT_VERSION = 1
+MODEL_FORMAT_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -200,8 +201,8 @@ def predict_labels(scores, threshold: float = 0.5) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def _encode(value):
-    if isinstance(value, TreeNode):
-        return value.to_dict()
+    if dataclasses.is_dataclass(value):
+        return {f.name: _encode(getattr(value, f.name)) for f in dataclasses.fields(value)}
     if isinstance(value, list):
         return [_encode(v) for v in value]
     if isinstance(value, np.ndarray):
@@ -210,17 +211,13 @@ def _encode(value):
 
 
 def _decode(kind, value):
+    if typing.get_origin(kind) is list:
+        return [_decode(typing.get_args(kind)[0], v) for v in value]
     if kind is np.ndarray:
         return np.array(value, dtype=np.float64)
-    if kind is TreeNode:
-        return TreeNode.from_dict(value)
-    if kind == list[TreeNode]:
-        return [TreeNode.from_dict(v) for v in value]
+    if dataclasses.is_dataclass(kind):  # a record inside a state (a tree) types its own arrays
+        return kind(**{f.name: value[f.name] for f in dataclasses.fields(kind)})
     return kind(value)
-
-
-def _state_to_dict(state) -> dict:
-    return {f.name: _encode(getattr(state, f.name)) for f in dataclasses.fields(state)}
 
 
 def _state_from_dict(cls, d: dict):
@@ -234,7 +231,7 @@ def model_to_dict(model: TrainedModel) -> dict:
         "algorithm": model.algorithm,
         "hyperparams": model.hyperparams,
         "seed": model.seed,
-        "state": _state_to_dict(model.state),
+        "state": _encode(model.state),
         "meta": {k: v for k, v in model.meta.items() if k != "loss_curve"},
     }
 

@@ -11,7 +11,9 @@ Trees come from the exact greedy grower shared with CART
 between consecutive distinct values, and the gain above scored from prefix
 sums of g and h. The fit runs ``n_trees`` rounds from a zero margin, and stops
 early when a round's tree has only zero leaves. Leaf values are stored
-pre-scaled by the learning rate; the ensemble margin is their sum.
+pre-scaled by the learning rate; the ensemble margin is their sum. Each
+round's tree is a flat ``trees.Tree``, and the grower's leaf id per row
+updates the training margin without a second pass through the tree.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ import numpy as np
 
 from ..errors import TrainingError
 from .linear import log_loss_terms, sigmoid
-from .trees import TreeNode, grow_tree, presort, tree_predict
+from .trees import Tree, grow_tree, presort, tree_predict
 
 
 @dataclass
@@ -38,20 +40,12 @@ class GBTParams:
 
 @dataclass
 class GBTState:
-    forest: list[TreeNode]
+    forest: list[Tree]
     n_features: int
-
-    @property
-    def trees(self) -> list[TreeNode]:
-        return self.forest
 
     @property
     def tree_weight(self) -> float:
         return 1.0
-
-    @property
-    def base_offset(self) -> float:
-        return 0.0
 
 
 def leaf_weight(G: float, H: float, lam: float) -> float:
@@ -82,14 +76,12 @@ def fit_gbt(X, y, params: GBTParams, seed: int):
         prob = sigmoid(margin)
         g = prob - y
         h = prob * (1.0 - prob)
-        tree, leaf_rows = grow_tree(cols, orders, g, h, gain, leaf_value,
-                                    max_depth=params.max_depth, min_leaf=params.min_leaf,
-                                    min_child_weight=params.min_child_weight)
-        tree.validate()
-        if all(lr_node.value == 0.0 for lr_node, _ in leaf_rows):
+        tree, leaf_of = grow_tree(cols, orders, g, h, gain, leaf_value,
+                                  max_depth=params.max_depth, min_leaf=params.min_leaf,
+                                  min_child_weight=params.min_child_weight)
+        if (tree.value[tree.feature < 0] == 0.0).all():
             break  # nothing left to fit
-        for leaf, rows in leaf_rows:
-            margin[rows] += leaf.value
+        margin += tree.value[leaf_of]
         forest.append(tree)
         loss = float(log_loss_terms(margin, y).mean())
         # second-order steps with a small learning rate never increase the loss

@@ -13,11 +13,17 @@ or a where the midpoint rounds up to b, so a <= thr < b always holds and
 CART uses g = y and h = 1: the gain is the Gini impurity decrease and a leaf
 holds its positive-class fraction G/H, so single trees and forests slot
 straight into the shared predict-scores contract.
+
+Every tree is a ``Tree``: parallel node arrays, the root at index 0 and each
+child after its parent. Growing appends to them, ``tree_predict`` routes all
+rows one level per step, and importance, Shapley and the model file read
+them by index, so nothing recurses and no tree is too deep to fit, save or
+load. DT, RF and GBT states all hold a ``forest`` list of them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -26,45 +32,53 @@ from ..rng import derive_rng
 
 
 @dataclass
-class TreeNode:
-    """Internal node (feature, threshold, two children) or leaf (value)."""
+class Tree:
+    """One tree as parallel node arrays; node 0 is the root.
 
-    feature: int | None = None
-    threshold: float = 0.0
-    left: "TreeNode | None" = None
-    right: "TreeNode | None" = None
-    value: float = 0.0
-    n_samples: int = 0
-    gain: float = 0.0  # objective gain of the split, used for importance
+    Node i splits on ``feature[i]`` (-1 at a leaf): rows with
+    ``x[feature] <= threshold[i]`` go to node ``left[i]``, the others to
+    ``right[i]``. Every node holds its ``value``, its training row count ``n``
+    and the ``gain`` of its split (0 at a leaf). The model file stores these
+    arrays as flat lists, so no step depends on the tree's depth.
+    """
 
-    @property
-    def is_leaf(self) -> bool:
-        return self.feature is None
+    feature: np.ndarray
+    threshold: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
+    value: np.ndarray
+    n: np.ndarray
+    gain: np.ndarray
 
-    def validate(self):
-        if self.is_leaf:
-            return
-        if not np.isfinite(self.threshold):
-            raise TrainingError("split thresholds must be finite")
-        if self.left is None or self.right is None:
-            raise TrainingError("internal nodes need both children")
-        self.left.validate()
-        self.right.validate()
+    def __post_init__(self):
+        """Refuse a malformed tree; this runs on every grown and every loaded tree.
 
-    def to_dict(self) -> dict:
-        if self.is_leaf:
-            return {"value": self.value, "n": self.n_samples}
-        return {"feature": self.feature, "threshold": self.threshold,
-                "gain": self.gain, "n": self.n_samples,
-                "left": self.left.to_dict(), "right": self.right.to_dict()}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "TreeNode":
-        if "feature" not in d:
-            return cls(value=d["value"], n_samples=d["n"])
-        return cls(feature=d["feature"], threshold=d["threshold"], gain=d["gain"],
-                   n_samples=d["n"],
-                   left=cls.from_dict(d["left"]), right=cls.from_dict(d["right"]))
+        Every internal node's children come after it and every node but the
+        root is the child of exactly one node, so routing level by level ends
+        within ``len(feature)`` steps.
+        """
+        for name in ("feature", "left", "right", "n"):
+            setattr(self, name, np.asarray(getattr(self, name)))
+        for name in ("threshold", "value", "gain"):
+            setattr(self, name, np.asarray(getattr(self, name), dtype=np.float64))
+        arrays = [getattr(self, f.name) for f in fields(self)]
+        m = self.feature.size
+        if m == 0 or any(a.shape != (m,) for a in arrays):
+            raise TrainingError("malformed tree: node arrays must be 1-D, non-empty and "
+                                "of one length")
+        if any(a.dtype.kind != "i" for a in (self.feature, self.left, self.right, self.n)):
+            raise TrainingError("malformed tree: feature, left, right and n must be integers")
+        if (self.feature < -1).any():
+            raise TrainingError("malformed tree: a leaf's feature must be -1")
+        internal = np.flatnonzero(self.feature >= 0)
+        children = np.concatenate([self.left[internal], self.right[internal]])
+        if not np.array_equal(np.sort(children), np.arange(1, m)):
+            raise TrainingError("malformed tree: every node but the root must be the child "
+                                "of exactly one internal node")
+        if (children <= np.tile(internal, 2)).any():
+            raise TrainingError("malformed tree: a child must come after its parent")
+        if not np.isfinite(self.threshold).all():
+            raise TrainingError("malformed tree: split thresholds must be finite")
 
 
 def gini_impurity(counts) -> float:
@@ -101,7 +115,7 @@ def presort(X):
 def grow_tree(cols, orders, g, h, gain, leaf_value, max_depth=None, min_split: int = 2,
               min_leaf: int = 1, min_child_weight: float = 0.0, cart: bool = False,
               n_feats=None, rng=None):
-    """Grow one tree by exact greedy search; returns (root, [(leaf, rows), ...]).
+    """Grow one tree by exact greedy search; returns (tree, leaf id of every row).
 
     ``cols``/``orders`` come from ``presort``. ``gain(GL, HL, G, H)`` scores the
     candidate splits of a node from the prefix sums of g and h left of each
@@ -111,26 +125,36 @@ def grow_tree(cols, orders, g, h, gain, leaf_value, max_depth=None, min_split: i
     more than 1e-12. With ``cart``, a pure node (constant g) is a leaf too and
     a split records its gain times the node's rows. With ``n_feats`` below the
     feature count, each node past the stop tests searches ``n_feats`` features
-    drawn from ``rng``.
+    drawn from ``rng``. Nodes are numbered in the order they are grown: root
+    first, then each right subtree before its left one.
     """
     p = len(cols)
     in_left = np.zeros(len(g), dtype=bool)
-    root = TreeNode()
-    leaf_rows = []
+    leaf_of = np.empty(len(g), dtype=np.int64)
+    feature, threshold, left, right, value, count, node_gain = [], [], [], [], [], [], []
     # a feature constant on a node stays constant below it, so its list is
-    # dropped (None) there; feature 0's list is kept as the node's rows
-    stack = [(root, list(orders), 0)]
+    # dropped (None) there; feature 0's list is kept as the node's rows. Each
+    # entry also names the parent's child list that the node's id goes into.
+    stack = [(list(orders), 0, None, 0)]
     while stack:
-        node, lists, depth = stack.pop()
+        lists, depth, children, parent = stack.pop()
+        node = len(value)
+        if children is not None:
+            children[parent] = node
         rows = lists[0]
         m = len(rows)
         g_rows = g[rows]
         G, H = float(g_rows.sum()), float(h[rows].sum())
-        node.n_samples = m
-        node.value = leaf_value(G, H)
+        feature.append(-1)
+        threshold.append(0.0)
+        left.append(-1)
+        right.append(-1)
+        value.append(leaf_value(G, H))
+        count.append(m)
+        node_gain.append(0.0)
         if ((max_depth is not None and depth >= max_depth) or m < min_split
                 or (cart and g_rows.min() == g_rows.max())):
-            leaf_rows.append((node, rows))
+            leaf_of[rows] = node
             continue
         if n_feats is not None and n_feats < p:
             feats = np.sort(rng.choice(p, n_feats, replace=False))
@@ -168,17 +192,17 @@ def grow_tree(cols, orders, g, h, gain, leaf_value, max_depth=None, min_split: i
                 best_gain = float(gains[c])
                 best = (int(j), int(cand[c]))
         if best is None:
-            leaf_rows.append((node, rows))
+            leaf_of[rows] = node
             continue
         j, i = best
         sid = lists[j]
         a, b = cols[j][sid[i]], cols[j][sid[i + 1]]
         thr = (a + b) / 2.0
-        node.feature = j
+        feature[node] = j
         # the midpoint of adjacent floats can round up to b; a <= thr < b keeps
         # `x <= thr` (tree_predict) routing every row to the side searched here
-        node.threshold = float(thr if thr < b else a)
-        node.gain = best_gain * m if cart else best_gain
+        threshold[node] = float(thr if thr < b else a)
+        node_gain[node] = best_gain * m if cart else best_gain
         in_left[sid[:i + 1]] = True
         left_lists, right_lists = [], []
         for lst in lists:
@@ -190,37 +214,35 @@ def grow_tree(cols, orders, g, h, gain, leaf_value, max_depth=None, min_split: i
             left_lists.append(lst[goes_left])
             right_lists.append(lst[~goes_left])
         in_left[sid[:i + 1]] = False
-        node.left, node.right = TreeNode(), TreeNode()
-        stack.append((node.left, left_lists, depth + 1))
-        stack.append((node.right, right_lists, depth + 1))
-    return root, leaf_rows
+        stack.append((left_lists, depth + 1, left, node))
+        stack.append((right_lists, depth + 1, right, node))
+    return Tree(feature, threshold, left, right, value, count, node_gain), leaf_of
 
 
-def _cart_tree(X, y, params, n_feats=None, rng=None) -> TreeNode:
+def _cart_tree(X, y, params, n_feats=None, rng=None) -> Tree:
     # g = y and h = 1, so G/H is the positive-class fraction
     cols, orders = presort(X)
-    root, _ = grow_tree(cols, orders, y, np.ones(len(y)), gini_decrease,
-                        lambda G, H: G / H, max_depth=params.max_depth,
-                        min_split=params.min_split, min_leaf=params.min_leaf, cart=True,
-                        n_feats=n_feats, rng=rng)
-    root.validate()
-    return root
+    return grow_tree(cols, orders, y, np.ones(len(y)), gini_decrease,
+                     lambda G, H: G / H, max_depth=params.max_depth,
+                     min_split=params.min_split, min_leaf=params.min_leaf, cart=True,
+                     n_feats=n_feats, rng=rng)[0]
 
 
-def tree_predict(root: TreeNode, X) -> np.ndarray:
-    out = np.empty(X.shape[0])
-    stack = [(root, np.arange(X.shape[0]))]
-    while stack:
-        node, idx = stack.pop()
-        if len(idx) == 0:
-            continue
-        if node.is_leaf:
-            out[idx] = node.value
-            continue
-        mask = X[idx, node.feature] <= node.threshold
-        stack.append((node.left, idx[mask]))
-        stack.append((node.right, idx[~mask]))
-    return out
+def tree_predict(tree: Tree, X) -> np.ndarray:
+    """Route all rows from the root down, one tree level per step.
+
+    A leaf routes to itself, so a row that has reached one stays there while
+    the others go on; each step moves every other row to a later node.
+    """
+    leaf = tree.feature < 0
+    ids = np.arange(len(leaf))
+    feature = np.where(leaf, 0, tree.feature)
+    left, right = np.where(leaf, ids, tree.left), np.where(leaf, ids, tree.right)
+    rows = np.arange(X.shape[0])
+    node = np.zeros(X.shape[0], dtype=np.int64)
+    while not leaf[node].all():
+        node = np.where(X[rows, feature[node]] <= tree.threshold[node], left[node], right[node])
+    return tree.value[node]
 
 
 # ---------------------------------------------------------------------------
@@ -236,28 +258,20 @@ class DTParams:
 
 @dataclass
 class DTState:
-    tree: TreeNode
+    forest: list[Tree]  # the one tree
     n_features: int
-
-    @property
-    def trees(self) -> list[TreeNode]:
-        return [self.tree]
 
     @property
     def tree_weight(self) -> float:
         return 1.0
 
-    @property
-    def base_offset(self) -> float:
-        return 0.0
-
 
 def fit_dt(X, y, params: DTParams, seed: int):
-    return DTState(_cart_tree(X, y, params), X.shape[1]), {}
+    return DTState([_cart_tree(X, y, params)], X.shape[1]), {}
 
 
 def predict_dt(state: DTState, X) -> np.ndarray:
-    return tree_predict(state.tree, X)
+    return tree_predict(state.forest[0], X)
 
 
 # ---------------------------------------------------------------------------
@@ -278,20 +292,12 @@ class RFParams:
 
 @dataclass
 class RFState:
-    forest: list[TreeNode]
+    forest: list[Tree]
     n_features: int
-
-    @property
-    def trees(self) -> list[TreeNode]:
-        return self.forest
 
     @property
     def tree_weight(self) -> float:
         return 1.0 / len(self.forest)
-
-    @property
-    def base_offset(self) -> float:
-        return 0.0
 
 
 def fit_rf(X, y, params: RFParams, seed: int):

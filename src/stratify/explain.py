@@ -10,7 +10,9 @@ satisfies its interval ("positive" literal) and every one taken from the
 background row does too ("negative" literal), and the Shapley value of such a
 conjunction game has a factorial closed form (the interventional tree game of
 Lundberg et al., Nature Machine Intelligence 2020). Each leaf is evaluated once
-for all explained rows; ``shap_tree_fast`` is the one-row case. Every explained
+for all explained rows; ``shap_tree_fast`` is the one-row case. Both walks, to
+the split gains and to the leaves, read the flat node arrays of
+``trees.Tree`` by index, so tree depth sets no limit. Every explained
 row must satisfy efficiency: base + sum(phi) equals the ensemble's own output at
 that row. Tree ensembles are explained on their additive scale (margin for
 boosting), so positive values push toward certification.
@@ -25,7 +27,7 @@ import numpy as np
 
 from .classifiers import TrainedModel
 from .classifiers.boosting import GBTState
-from .classifiers.trees import DTState, RFState, TreeNode, tree_predict
+from .classifiers.trees import DTState, RFState, Tree, tree_predict
 from .errors import ExplainError
 
 EFFICIENCY_TOL = 1e-9
@@ -66,18 +68,17 @@ def _tree_state(model):
 
 
 def split_gain_importance(model, feature_names=None) -> ImportanceRanking:
-    """Sum each feature's split gain over every node of the ensemble, normalized to 1."""
+    """Sum each feature's split gain over every node of the ensemble, normalized to 1.
+
+    Gains are added tree by tree in node order (``bincount`` adds in array order).
+    """
     state = _tree_state(model)
     p = state.n_features
-    scores = np.zeros(p)
-    for tree in state.trees:
-        stack = [tree]
-        while stack:
-            node = stack.pop()
-            if node.is_leaf:
-                continue
-            scores[node.feature] += node.gain
-            stack.extend([node.left, node.right])
+    # the leading empty arrays cover a GBT forest emptied by an early stop
+    feature = np.concatenate([np.empty(0, np.int64), *(t.feature for t in state.forest)])
+    gain = np.concatenate([np.empty(0), *(t.gain for t in state.forest)])
+    split = feature >= 0
+    scores = np.bincount(feature[split], weights=gain[split], minlength=p)
     total = scores.sum()
     if total > 0:
         scores = scores / total
@@ -141,25 +142,27 @@ def _check_efficiency(phi, base, fx):
 # exact Shapley, tree ensembles
 # ---------------------------------------------------------------------------
 
-def _leaf_paths(tree: TreeNode):
-    """Yield (value, {feature: (lo, hi]}) for every leaf with a nonempty box."""
+def _leaf_paths(tree: Tree):
+    """Return (value, {feature: (lo, hi]}) for every leaf with a nonempty box."""
+    feature, threshold, left, right, value = (
+        a.tolist() for a in (tree.feature, tree.threshold, tree.left, tree.right, tree.value))
     out = []
-    stack = [(tree, {})]
+    stack = [(0, {})]
     while stack:
         node, box = stack.pop()
-        if node.is_leaf:
-            out.append((node.value, box))
+        j, t = feature[node], threshold[node]
+        if j < 0:
+            out.append((value[node], box))
             continue
-        j, t = node.feature, node.threshold
         lo, hi = box.get(j, (-np.inf, np.inf))
         if t > lo:  # left interval (lo, min(hi, t)] is nonempty
-            left = dict(box)
-            left[j] = (lo, min(hi, t))
-            stack.append((node.left, left))
+            left_box = dict(box)
+            left_box[j] = (lo, min(hi, t))
+            stack.append((left[node], left_box))
         if t < hi:  # right interval (max(lo, t), hi] is nonempty
-            right = dict(box)
-            right[j] = (max(lo, t), hi)
-            stack.append((node.right, right))
+            right_box = dict(box)
+            right_box[j] = (max(lo, t), hi)
+            stack.append((right[node], right_box))
     return out
 
 
@@ -207,10 +210,10 @@ def _shap_tree_rows(state, X, B):
     nb = B.shape[0]
     pos_tab, neg_tab = _conjunction_tables(p)
     phi = np.zeros(X.shape)
-    base = state.base_offset
+    base = 0.0
     weight = state.tree_weight
 
-    for tree in state.trees:
+    for tree in state.forest:
         for value, box in _leaf_paths(tree):
             if not box:  # leaf-only tree: constant contribution
                 base += weight * value
@@ -233,7 +236,7 @@ def _shap_tree_rows(state, X, B):
             phi[:, feats] += (np.einsum("mb,mbu->mu", scale * pos_tab[q, r], pos)
                               - np.einsum("mb,mbu->mu", scale * neg_tab[q, r], neg))
 
-    fx = state.base_offset + weight * np.sum([tree_predict(t, X) for t in state.trees], axis=0)
+    fx = weight * np.sum([tree_predict(t, X) for t in state.forest], axis=0)
     _check_efficiency(phi, base, fx)
     return phi, float(base)
 

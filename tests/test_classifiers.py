@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from stratify import classifiers as clf
-from stratify import dataset, synthcohort
+from stratify import dataset, explain, synthcohort
 from stratify.classifiers import boosting, linear, neighbors, neural, svm, trees
 from stratify.errors import TrainingError
 from stratify.resampling import smote
@@ -31,23 +31,23 @@ def test_gini_examples():
 
 
 def dt_root(X, y):
-    """The root split of a depth-1 DT: the grower's best split over all rows."""
-    return clf.fit("DT", X, y, {"max_depth": 1}, seed=0).state.tree
+    """A depth-1 DT, whose node 0 is the grower's best split over all rows."""
+    return clf.fit("DT", X, y, {"max_depth": 1}, seed=0).state.forest[0]
 
 
 def test_best_split_example():
     X = np.array([[0.0], [1.0], [2.0], [3.0]])
     root = dt_root(X, np.array([0, 0, 1, 1]))
     # the recorded gain is the impurity decrease times the node's rows
-    assert root.feature == 0 and root.threshold == pytest.approx(1.5)
-    assert root.gain / root.n_samples == pytest.approx(0.5)
+    assert root.feature[0] == 0 and root.threshold[0] == pytest.approx(1.5)
+    assert root.gain[0] / root.n[0] == pytest.approx(0.5)
 
 
 def test_best_split_none_cases():
     X = np.array([[0.0], [1.0], [2.0]])
-    assert dt_root(X, np.array([1, 1, 1])).is_leaf
+    assert dt_root(X, np.array([1, 1, 1])).feature[0] == -1
     const = np.zeros((4, 2))
-    assert dt_root(const, np.array([0, 1, 0, 1])).is_leaf
+    assert dt_root(const, np.array([0, 1, 0, 1])).feature[0] == -1
 
 
 def test_best_split_matches_enumeration(rng):
@@ -80,10 +80,10 @@ def test_best_split_matches_enumeration(rng):
         got = dt_root(X, y)
         want = oracle_best(X, y)
         if want is None:
-            assert got.is_leaf
+            assert got.feature[0] == -1
         else:
-            assert not got.is_leaf
-            assert got.gain / got.n_samples == pytest.approx(want[2], abs=1e-12)
+            assert got.feature[0] != -1
+            assert got.gain[0] / got.n[0] == pytest.approx(want[2], abs=1e-12)
 
 
 def test_gbt_root_split_matches_enumeration(rng):
@@ -126,14 +126,14 @@ def test_gbt_root_split_matches_enumeration(rng):
             if t == len(forest):  # boosting stopped: this round fitted nothing
                 assert want is None
                 break
-            root = forest[t]
+            tree = forest[t]
             if want is None:
-                assert root.is_leaf
+                assert tree.feature[0] == -1
             else:
-                assert not root.is_leaf
-                assert root.gain == pytest.approx(want, rel=1e-9, abs=1e-12)
+                assert tree.feature[0] != -1
+                assert tree.gain[0] == pytest.approx(want, rel=1e-9, abs=1e-12)
                 checked += 1
-            margin += trees.tree_predict(root, X)
+            margin += trees.tree_predict(tree, X)
     assert checked >= 10
 
 
@@ -146,10 +146,10 @@ def test_split_threshold_between_adjacent_floats():
     X = np.array([[a], [a], [b], [b]])
     y = np.array([0, 0, 1, 1])
     dt = clf.fit("DT", X, y, seed=0)
-    assert dt.state.tree.threshold == a
+    assert dt.state.forest[0].threshold[0] == a
     assert np.array_equal(clf.predict_scores(dt, X), y)
     gbt = clf.fit("GBT", X, y, seed=0)
-    assert all(t.threshold == a for t in gbt.state.forest if not t.is_leaf)
+    assert all(t.threshold[0] == a for t in gbt.state.forest if t.feature[0] != -1)
     refit_loss = linear.log_loss_terms(boosting.gbt_margin(gbt.state, X), y).mean()
     assert refit_loss == pytest.approx(gbt.meta["final_loss"], rel=1e-12)
 
@@ -401,7 +401,7 @@ def test_gbt_split_gain_positive_requirement(rng):
     y = np.array([0, 1] * 5)
     m = clf.fit("GBT", X, y, {"n_trees": 5, "max_depth": 3}, seed=0)
     # constant features: every tree is a single leaf, boosting stops early
-    assert all(t.is_leaf for t in m.state.forest)
+    assert all(t.feature.tolist() == [-1] for t in m.state.forest)
 
 
 def test_svc_computes_each_pair_column_once(rng, monkeypatch):
@@ -470,6 +470,79 @@ def test_model_serialization_roundtrip_bit_exact(tmp_path, rng):
     path.write_text(json.dumps(old, sort_keys=True))
     back = clf.load_model(path)
     assert clf.predict_scores(back, Xq).tobytes() == clf.predict_scores(gbt, Xq).tobytes()
+
+
+def test_trees_deeper_than_the_recursion_limit_fit_save_load_and_explain(tmp_path):
+    # one feature 0..n-1 with alternating labels grows a chain about n deep
+    n = 3000
+    X = np.arange(n, dtype=float)[:, None]
+    y = np.arange(n) % 2
+    dt = clf.fit("DT", X, y, seed=0)
+    rf = clf.fit("RF", X, y, {"n_trees": 2, "bootstrap": False, "feature_subsample": None},
+                 seed=0)
+    assert len(dt.state.forest[0].feature) > 1000
+    for m in (dt, rf):
+        scores = clf.predict_scores(m, X)
+        assert np.array_equal(scores, y)
+        path = tmp_path / f"{m.algorithm}.json"
+        clf.save_model(path, m)
+        assert clf.predict_scores(clf.load_model(path), X).tobytes() == scores.tobytes()
+    assert explain.split_gain_importance(dt).scores.tolist() == [1.0]
+    mat = explain.shap_matrix(dt, X[:5], X[::300])
+    assert mat.values.shape == (5, 1)
+
+
+def test_malformed_tree_files_are_refused(tmp_path):
+    X = np.array([[0.0], [1.0], [2.0], [3.0], [4.0], [5.0]])
+    y = np.array([0, 1, 1, 0, 0, 1])
+    good = clf.model_to_dict(clf.fit("DT", X, y, seed=0))
+    tree = good["state"]["forest"][0]
+    inner = [i for i, j in enumerate(tree["feature"]) if j >= 0]
+    assert len(inner) >= 2  # a root and one later internal node
+    last = inner[-1]
+
+    def edited(*changes):
+        """The good file with tree[key][i] = v per (key, i, v); i None sets tree[key]."""
+        d = json.loads(json.dumps(good))
+        t = d["state"]["forest"][0]
+        for key, i, v in changes:
+            if i is None:
+                t[key] = v
+            else:
+                t[key][i] = v
+        return d
+
+    # swapping the root's right child with the last internal node's left child
+    # keeps every node the child of one node, but points back to an earlier node
+    assert tree["right"][0] < last
+    bad = {"self-loop child": edited(("left", last, last)),
+           "backward child": edited(("right", 0, tree["left"][last]),
+                                    ("left", last, tree["right"][0])),
+           "out-of-range child": edited(("right", 0, len(tree["feature"]))),
+           "short arrays": edited(("value", None, tree["value"][:-1])),
+           "NaN threshold": edited(("threshold", 0, float("nan"))),
+           "fractional feature": edited(("feature", 0, 0.5)),
+           "leaf feature below -1": edited(("feature", tree["feature"].index(-1), -2)),
+           "scalar in place of a list": edited(("feature", None, 0))}
+    path = tmp_path / "DT.json"
+    path.write_text(json.dumps(good))
+    clf.load_model(path)
+    for case, d in bad.items():
+        path.write_text(json.dumps(d))
+        with pytest.raises(TrainingError, match="malformed tree"):
+            clf.load_model(path)
+            pytest.fail(case)
+
+
+def test_version_1_nested_model_file_is_refused(tmp_path):
+    old = {"format_version": 1, "algorithm": "GBT", "hyperparams": {}, "seed": 0, "meta": {},
+           "state": {"n_features": 1, "forest": [
+               {"feature": 0, "threshold": 0.5, "gain": 1.0, "n": 2,
+                "left": {"value": -0.1, "n": 1}, "right": {"value": 0.1, "n": 1}}]}}
+    path = tmp_path / "GBT.json"
+    path.write_text(json.dumps(old))
+    with pytest.raises(TrainingError, match="unsupported model format 1"):
+        clf.load_model(path)
 
 
 def test_resolve_params_rejects_unknown_keys():

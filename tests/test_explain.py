@@ -4,23 +4,32 @@ import pytest
 from stratify import classifiers as clf
 from stratify import explain as ex
 from stratify.classifiers.boosting import gbt_margin
-from stratify.classifiers.trees import TreeNode, tree_predict
+from stratify.classifiers.trees import Tree, tree_predict
 from stratify.errors import ExplainError
 
 import oracles
 
 
 def leaf(v):
-    return TreeNode(value=v, n_samples=1)
+    return Tree([-1], [0.0], [-1], [-1], [v], [1], [0.0])
 
 
 def node(j, thr, left, right, gain=1.0):
-    return TreeNode(feature=j, threshold=thr, left=left, right=right, gain=gain, n_samples=2)
+    """A root splitting on x_j <= thr, then the left tree's nodes, then the right's."""
+    def children(t, offset):
+        return [np.where(t.feature >= 0, c + offset, -1) for c in (t.left, t.right)]
+
+    (ll, lr), (rl, rr) = children(left, 1), children(right, 1 + len(left.feature))
+    return Tree(np.r_[j, left.feature, right.feature],
+                np.r_[thr, left.threshold, right.threshold],
+                np.r_[1, ll, rl], np.r_[1 + len(left.feature), lr, rr],
+                np.r_[0.0, left.value, right.value], np.r_[2, left.n, right.n],
+                np.r_[gain, left.gain, right.gain])
 
 
 def manual_dt(tree, p):
     from stratify.classifiers.trees import DTState
-    return DTState(tree, p)
+    return DTState([tree], p)
 
 
 def test_importance_single_feature_tree():
@@ -33,6 +42,10 @@ def test_importance_single_feature_tree():
 def test_importance_all_leaves_zero():
     r = ex.split_gain_importance(manual_dt(leaf(0.3), 4))
     assert np.all(r.scores == 0.0)
+    # GBT stops before its first tree when that tree would be all zero leaves
+    gbt = clf.fit("GBT", np.zeros((10, 4)), np.array([0, 1] * 5), seed=0)
+    assert gbt.state.forest == []
+    assert ex.split_gain_importance(gbt).scores.tolist() == [0.0] * 4
 
 
 def test_importance_two_trees_split_evenly():
@@ -101,7 +114,7 @@ def ensemble_fn(model):
     if model.algorithm == "GBT":
         return lambda M: gbt_margin(state, M)
     if model.algorithm == "DT":
-        return lambda M: tree_predict(state.tree, M)
+        return lambda M: tree_predict(state.forest[0], M)
     return lambda M: np.mean([tree_predict(t, M) for t in state.forest], axis=0)
 
 
@@ -167,7 +180,7 @@ def test_dummy_feature_gets_zero(rng):
     if model.algorithm == "GBT":
         state.n_features = 4
     elif model.algorithm == "DT":
-        state = DTState(state.tree, 4)
+        state = DTState(state.forest, 4)
         model = clf.TrainedModel("DT", {}, 0, state, {})
     else:
         state.n_features = 4
