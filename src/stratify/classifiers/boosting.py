@@ -24,7 +24,7 @@ import numpy as np
 
 from ..errors import TrainingError
 from .linear import log_loss_terms, sigmoid
-from .trees import Tree, grow_tree, presort, tree_predict
+from .trees import TreeEnsemble, grow_tree, presort, tree_predict
 
 
 @dataclass
@@ -38,14 +38,8 @@ class GBTParams:
     min_leaf: int = field(default=1, metadata={"ge": 1})
 
 
-@dataclass
-class GBTState:
-    forest: list[Tree]
-    n_features: int
-
-    @property
-    def tree_weight(self) -> float:
-        return 1.0
+class GBTState(TreeEnsemble):
+    """The boosted trees; the margin is the sum of their (pre-scaled) leaf values."""
 
 
 def leaf_weight(G: float, H: float, lam: float) -> float:

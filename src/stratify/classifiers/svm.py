@@ -4,7 +4,9 @@ The dual is optimized by sweeping candidate multipliers that violate the KKT
 conditions and pairing each with a randomly chosen partner; the pairwise
 subproblem has a closed form. Probability-like scores squash the decision value
 through the logistic function: monotone in the margin, so thresholding and ROC
-behave, but not calibrated.
+behave, but not calibrated. Every kernel value is exp(-gamma *
+``neighbors.sq_dists``), so a column computed on demand equals the Gram
+matrix's, bit for bit, at any BLAS thread count.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ import numpy as np
 
 from ..rng import derive_rng
 from .linear import sigmoid
+from .neighbors import sq_dists
 
 
 @dataclass
@@ -46,16 +49,6 @@ def _resolve_gamma(X, gamma):
     return float(gamma)
 
 
-def _rbf(A, B, gamma, aa, bb):
-    # K[a, b] = exp(-gamma ||a - b||^2) from the squared row norms aa and bb
-    return np.exp(-gamma * np.maximum(aa[:, None] - 2.0 * (A @ B.T) + bb[None, :], 0.0))
-
-
-def _rbf_columns(X, idx, gamma, sq):
-    # kernel columns K[:, idx] computed on demand; K_ii = 1 for RBF
-    return _rbf(X, X[idx], gamma, sq, sq[idx])
-
-
 def fit_svc(X, y01, params: SVCParams, seed: int):
     n = X.shape[0]
     y = np.where(np.asarray(y01) == 1, 1.0, -1.0)
@@ -64,12 +57,12 @@ def fit_svc(X, y01, params: SVCParams, seed: int):
     rng = derive_rng(seed, "svc_smo")
     sq = (X * X).sum(1)
     # full Gram only when it is small; otherwise columns on demand
-    gram = _rbf(X, X, gamma, sq, sq) if n <= 2048 else None
+    gram = np.exp(-gamma * sq_dists(X, X, sq, sq)) if n <= 2048 else None
 
     def col(i):
         if gram is not None:
             return gram[:, i]
-        return _rbf_columns(X, np.array([i]), gamma, sq).ravel()
+        return np.exp(-gamma * sq_dists(X, X[i:i + 1], sq, sq[i:i + 1]))[:, 0]
 
     alphas = np.zeros(n)
     b = 0.0
@@ -126,9 +119,7 @@ def fit_svc(X, y01, params: SVCParams, seed: int):
 
 
 def decision_function(state: SVCState, X) -> np.ndarray:
-    K = _rbf(X, state.support_X, state.gamma, (X * X).sum(1),
-             (state.support_X * state.support_X).sum(1))
-    return K @ state.dual_coef + state.bias
+    return np.exp(-state.gamma * sq_dists(X, state.support_X)) @ state.dual_coef + state.bias
 
 
 def predict_svc(state: SVCState, X) -> np.ndarray:

@@ -81,6 +81,22 @@ class Tree:
             raise TrainingError("malformed tree: split thresholds must be finite")
 
 
+@dataclass
+class TreeEnsemble:
+    """DT, RF and GBT state: trees, each weighted ``tree_weight``, over ``n_features``
+    columns; a split on any other column is refused, so a bad model file fails on load."""
+
+    forest: list[Tree]
+    n_features: int
+    tree_weight = 1.0
+
+    def __post_init__(self):
+        top = max((int(t.feature.max()) for t in self.forest), default=-1)
+        if top >= self.n_features:
+            raise TrainingError(f"malformed tree: a split names feature {top}, but the model "
+                                f"has {self.n_features} features")
+
+
 def gini_impurity(counts) -> float:
     """1 - p0^2 - p1^2 for a binary class-count pair; 0 means pure."""
     c0, c1 = counts
@@ -256,14 +272,8 @@ class DTParams:
     max_depth: int | None = field(default=None, metadata={"ge": 1})
 
 
-@dataclass
-class DTState:
-    forest: list[Tree]  # the one tree
-    n_features: int
-
-    @property
-    def tree_weight(self) -> float:
-        return 1.0
+class DTState(TreeEnsemble):
+    """The one tree of a decision tree."""
 
 
 def fit_dt(X, y, params: DTParams, seed: int):
@@ -290,10 +300,8 @@ class RFParams:
                                                 metadata={"ge": 1, "choices": ("sqrt",)})
 
 
-@dataclass
-class RFState:
-    forest: list[Tree]
-    n_features: int
+class RFState(TreeEnsemble):
+    """Bagged trees; the forest score is their mean."""
 
     @property
     def tree_weight(self) -> float:

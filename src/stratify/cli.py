@@ -133,14 +133,14 @@ def cmd_run(args) -> int:
     if args.arm in ("both", "direct"):
         direct = pipeline.run_direct(dataset, cfg)
         separated = (pipeline.separate_by_pattern(direct, assignment)
-                     if args.arm == "both" else None)
+                     if integ is not None else None)
         reports.write_direct(rundir, direct, separated)
         flags.extend(direct.flags)
         for alg, m in direct.result.models.items():
             clf.save_model(rundir.path(f"models/direct/{alg}.json"), m)
-    if integ is not None and direct is not None:
-        comparison = pipeline.compare(integ, direct)
-        reports.write_json(rundir.path("comparison.json"), comparison.to_dict())
+        if integ is not None:
+            reports.write_json(rundir.path("comparison.json"),
+                               pipeline.compare(integ, direct, separated).to_dict())
 
     reports.write_json(rundir.path("run_state.json"), state)
     rundir.write_manifest("run", cfg.to_dict(), cfg.seed, started)

@@ -2,17 +2,18 @@
 
 ``kmeans_fit`` runs Lloyd's algorithm with k-means++ initialization and several
 restarts, keeping the restart with the lowest inertia. Each Lloyd step builds
-one centroid-major distance array; ``_nearest`` takes the per-row minimum (whose
-sum is the cost) and the lowest-index nearest centroid from it in a few passes
-over contiguous rows, and ``assign_patterns`` labels rows with the same helper.
-The centroid sums read feature columns copied once per Lloyd run.
+one centroid-major array of ``sq_dists``; ``_nearest`` takes the per-row minimum
+(whose sum is the cost) and the lowest-index nearest centroid from it in a few
+passes over contiguous rows, and ``assign_patterns`` labels rows with the same
+helper. The centroid sums read feature columns copied once per Lloyd run.
 
 ``select_k`` fits a range of K values and lets ten cluster validity indices
 vote; the winner is the K chosen most often, ties broken toward smaller K.
 ``INDICES`` gives each index its vote rule and its input: the pair indices
 (silhouette, dunn, c_index, mcclain, point_biserial) read a capped subsample of
-rows, whose distance matrix, condensed pair distances and same-cluster mask are
-built once per K and shared; the others read every row or the W_k sequence.
+rows, whose distance matrix (``sq_dists``, so the same at any BLAS thread count),
+condensed pair distances and same-cluster mask are built once per K and shared;
+the others read every row or the W_k sequence.
 
 Index definitions (d = Euclidean distance, W_k = within-cluster sum of squared
 distances to centroids at K=k, n = sample count, p = feature count):
@@ -48,6 +49,7 @@ from functools import cached_property
 
 import numpy as np
 
+from .classifiers.neighbors import sq_dists
 from .errors import ClusteringError
 from .rng import derive_rng
 
@@ -93,18 +95,6 @@ def _check_matrix(X) -> np.ndarray:
     return X
 
 
-def _sq_dists(X, C, xx=None):
-    # ||x||^2 - 2 x.c + ||c||^2 as an n x K array, clipped against float
-    # cancellation; xx, the precomputed (X * X).sum(1), saves that pass when X is
-    # reused. Stored centroid-major, so every pass runs over contiguous rows of n
-    # values. In place, row norms before centroid norms: that order fixes the bits.
-    d2 = C @ X.T
-    d2 *= -2.0
-    d2 += ((X * X).sum(1) if xx is None else xx)[None, :]
-    d2 += (C * C).sum(1)[:, None]
-    return np.maximum(d2, 0.0, out=d2).T
-
-
 def _kmeanspp(X, k, rng, n_candidates: int = 10, first_idx: int | None = None):
     # greedy k-means++: sample several D^2-weighted candidates per step and keep
     # the one that lowers the potential most (matters for tiny far-off clusters)
@@ -112,7 +102,7 @@ def _kmeanspp(X, k, rng, n_candidates: int = 10, first_idx: int | None = None):
     centroids = np.empty((k, X.shape[1]))
     centroids[0] = X[rng.integers(n) if first_idx is None else first_idx]
     xx = (X * X).sum(1)
-    d2 = _sq_dists(X, centroids[:1], xx).ravel()
+    d2 = sq_dists(centroids[:1], X, bb=xx)[0]
     for j in range(1, k):
         total = d2.sum()
         if total <= 0:
@@ -121,7 +111,7 @@ def _kmeanspp(X, k, rng, n_candidates: int = 10, first_idx: int | None = None):
             cands = rng.choice(n, size=n_candidates, p=d2 / total)
         best_i, best_pot, best_d2 = None, np.inf, None
         for i in np.unique(cands):
-            cand_d2 = np.minimum(d2, _sq_dists(X, X[int(i)][None, :], xx).ravel())
+            cand_d2 = np.minimum(d2, sq_dists(X[int(i)][None, :], X, bb=xx)[0])
             pot = cand_d2.sum()
             if pot < best_pot:
                 best_i, best_pot, best_d2 = int(i), pot, cand_d2
@@ -130,14 +120,13 @@ def _kmeanspp(X, k, rng, n_candidates: int = 10, first_idx: int | None = None):
     return centroids
 
 
-def _nearest(d2):
-    """Nearest centroid of every row of an n x K distance array, and its distance.
+def _nearest(rows):
+    """Nearest centroid of every row, and its distance, from a K x n distance array.
 
-    Over the centroid-major layout, the minimum is taken first; a row's label
+    Over this centroid-major layout, the minimum is taken first; a row's label
     then counts the leading centroids strictly farther than that minimum, so
     ties go to the lowest centroid index, as with ``argmin``.
     """
-    rows = np.ascontiguousarray(d2.T)
     dmin = rows.min(axis=0)
     labels = np.zeros(len(dmin), dtype=np.min_scalar_type(len(rows)))
     ahead = np.ones(len(dmin), dtype=bool)  # no centroid so far is at the minimum
@@ -155,7 +144,7 @@ def _lloyd(X, centroids, max_iter, tol):
     cols = np.ascontiguousarray(X.T)  # contiguous feature columns for the centroid sums
     it = max_iter  # max_iter 0 skips the loop
     for it in range(1, max_iter + 1):
-        new_labels, dmin = _nearest(_sq_dists(X, centroids, xx))
+        new_labels, dmin = _nearest(sq_dists(centroids, X, bb=xx))
         cost = float(dmin.sum())
         # Lloyd monotonicity: each assignment step can only lower the cost
         if not cost <= prev_cost + 1e-8 * max(1.0, abs(prev_cost)):  # NaN fails too
@@ -181,7 +170,7 @@ def _lloyd(X, centroids, max_iter, tol):
         centroids = new_centroids
         if shift < tol and not len(empties):
             break
-    labels, dmin = _nearest(_sq_dists(X, centroids, xx))
+    labels, dmin = _nearest(sq_dists(centroids, X, bb=xx))
     return labels, centroids, float(dmin.sum()), it
 
 
@@ -223,7 +212,7 @@ def assign_patterns(model: KMeansModel, X) -> PatternAssignment:
     X = _check_matrix(X)
     if X.shape[1] != model.centroids.shape[1]:
         raise ClusteringError("feature dimension does not match the fitted centroids")
-    labels, _ = _nearest(_sq_dists(X, model.centroids))
+    labels, _ = _nearest(sq_dists(model.centroids, X))
     sizes = np.bincount(labels, minlength=model.k)
     return PatternAssignment(labels, sizes)
 
@@ -245,10 +234,9 @@ def sort_patterns_by_size(model: KMeansModel, assignment: PatternAssignment
 # ---------------------------------------------------------------------------
 
 def pairwise_distances(X) -> np.ndarray:
-    d2 = _sq_dists(X, X)
+    d2 = sq_dists(X, X)
     np.fill_diagonal(d2, 0.0)
-    # row-major, as the silhouette's row sums expect
-    return np.sqrt(d2, order="C")
+    return np.sqrt(d2, out=d2)
 
 
 class _Partition:
@@ -319,7 +307,7 @@ def _davies_bouldin(part: _Partition) -> float:
         float(np.sqrt(((X[labels == c] - centroids[c]) ** 2).sum(axis=1)).mean())
         for c in range(k)
     ])
-    sep = np.sqrt(_sq_dists(centroids, centroids))
+    sep = np.sqrt(sq_dists(centroids, centroids))
     ratio = (spreads[:, None] + spreads[None, :]) / np.where(sep > 0, sep, np.inf)
     np.fill_diagonal(ratio, -np.inf)
     worst = ratio.max(axis=1)

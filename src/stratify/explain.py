@@ -26,8 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .classifiers import TrainedModel
-from .classifiers.boosting import GBTState
-from .classifiers.trees import DTState, RFState, Tree, tree_predict
+from .classifiers.trees import Tree, TreeEnsemble, tree_predict
 from .errors import ExplainError
 
 EFFICIENCY_TOL = 1e-9
@@ -62,7 +61,7 @@ def _tree_state(model):
         state = model.state
     else:
         state = model
-    if not isinstance(state, (DTState, RFState, GBTState)):
+    if not isinstance(state, TreeEnsemble):
         raise ExplainError("tree-based attribution needs a DT, RF or GBT model")
     return state
 

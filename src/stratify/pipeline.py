@@ -390,13 +390,15 @@ def _improvement_cells(int_report: EvaluationReport, dir_report: EvaluationRepor
     return cells
 
 
-def compare(integration: IntegrationRun, direct: DirectRun) -> ComparisonReport:
+def compare(integration: IntegrationRun, direct: DirectRun, separated: dict) -> ComparisonReport:
     """Relative improvement of the per-pattern arm over the pooled baseline.
 
     Overall cells compare pooled integration metrics to the direct run; the
     per-pattern cells compare each pattern's report to the direct predictions
-    restricted to that pattern's rows. Improvements are (integration - direct)
-    / direct, skipped where the baseline is zero or undefined.
+    restricted to that pattern's rows: ``separated``, the result of
+    ``separate_by_pattern(direct, integration.assignment)``. Improvements are
+    (integration - direct) / direct, skipped where the baseline is zero or
+    undefined.
     """
     if integration.config.seed != direct.config.seed:
         raise EvaluationError("runs must share a seed to be comparable")
@@ -404,7 +406,6 @@ def compare(integration: IntegrationRun, direct: DirectRun) -> ComparisonReport:
     for alg, rep in integration.pooled.items():
         if alg in direct.result.reports:
             overall[alg] = _improvement_cells(rep, direct.result.reports[alg])
-    separated = separate_by_pattern(direct, integration.assignment)
     per_pattern: dict[int, dict] = {}
     summary: dict[int, dict] = {}
     for p in integration.patterns:

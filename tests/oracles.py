@@ -378,7 +378,10 @@ def knn_order(Q, X, k, exclude_self=False):
 def smote_dense(X, y, k_neighbors, target_ratio, rng):
     """SMOTE as first written, frozen: the whole n_min x n_min distance matrix
     and a stable argsort of each row. ``rng`` must be the package's "smote"
-    stream; returns (X_out, parent, neighbor, u)."""
+    stream; returns (X_out, parent, neighbor, u). The distances round as the
+    package documents them (an einsum product times -2, plus the column norms,
+    plus the row norms, clipped at 0), so a byte comparison isolates the
+    package's blocking from its rounding."""
     X = np.asarray(X, dtype=np.float64)
     classes, counts = np.unique(y, return_counts=True)
     minority_label = classes[int(np.argmin(counts))]
@@ -387,7 +390,8 @@ def smote_dense(X, y, k_neighbors, target_ratio, rng):
     min_rows = np.flatnonzero(y == minority_label)
     k = min(k_neighbors, n_min - 1)
     Xm = X[min_rows]
-    d2 = (Xm * Xm).sum(1)[:, None] - 2.0 * (Xm @ Xm.T) + (Xm * Xm).sum(1)[None, :]
+    xx = (Xm * Xm).sum(1)
+    d2 = np.maximum(-2.0 * np.einsum("ik,jk->ij", Xm, Xm) + xx[None, :] + xx[:, None], 0.0)
     np.fill_diagonal(d2, np.inf)
     neighbors = np.argsort(d2, axis=1, kind="stable")[:, :k]
     parent_local = rng.integers(0, n_min, n_new)

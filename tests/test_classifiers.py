@@ -11,6 +11,7 @@ from stratify.errors import TrainingError
 from stratify.resampling import smote
 
 import oracles
+from conftest import stdout_at_blas_threads
 
 SEPARABLE_X = np.array([[0.0, 0.0], [0.0, 1.0], [5.0, 0.0], [5.0, 1.0]])
 SEPARABLE_Y = np.array([0, 0, 1, 1])
@@ -411,13 +412,14 @@ def test_svc_computes_each_pair_column_once(rng, monkeypatch):
     X = rng.normal(size=(n, 3))
     y = (X[:, 0] + rng.normal(scale=0.5, size=n) > 0).astype(int)
     requested = []
-    real = svm._rbf_columns
+    real = svm.sq_dists
 
-    def counting(X_, idx, gamma, sq):
-        requested.extend(int(i) for i in idx)
-        return real(X_, idx, gamma, sq)
+    def counting(A, B, aa=None, bb=None):
+        if len(B) == 1:  # column i is the distances from every row to X[i]
+            requested.extend(np.flatnonzero((X == B[0]).all(axis=1)).tolist())
+        return real(A, B, aa, bb)
 
-    monkeypatch.setattr(svm, "_rbf_columns", counting)
+    monkeypatch.setattr(svm, "sq_dists", counting)
     clf.fit("SVC", X, y, {"max_sweeps": 2}, seed=0)
     assert len(requested) > n // 2
     assert all(a != b for a, b in zip(requested, requested[1:]))
@@ -523,7 +525,8 @@ def test_malformed_tree_files_are_refused(tmp_path):
            "NaN threshold": edited(("threshold", 0, float("nan"))),
            "fractional feature": edited(("feature", 0, 0.5)),
            "leaf feature below -1": edited(("feature", tree["feature"].index(-1), -2)),
-           "scalar in place of a list": edited(("feature", None, 0))}
+           "scalar in place of a list": edited(("feature", None, 0)),
+           "feature index n_features": edited(("feature", 0, 1))}
     path = tmp_path / "DT.json"
     path.write_text(json.dumps(good))
     clf.load_model(path)
@@ -532,6 +535,13 @@ def test_malformed_tree_files_are_refused(tmp_path):
         with pytest.raises(TrainingError, match="malformed tree"):
             clf.load_model(path)
             pytest.fail(case)
+    for alg in ("RF", "GBT"):  # the feature check is shared by every tree model
+        d = clf.model_to_dict(clf.fit(alg, X, y, seed=0))
+        for t in d["state"]["forest"]:
+            t["feature"] = [1 if j >= 0 else j for j in t["feature"]]
+        path.write_text(json.dumps(d))
+        with pytest.raises(TrainingError, match="malformed tree: a split names feature 1"):
+            clf.load_model(path)
 
 
 def test_version_1_nested_model_file_is_refused(tmp_path):
@@ -677,6 +687,44 @@ def test_knn_indices_match_brute_force_order(rng, monkeypatch, block_rows):
         for k in sorted({min(1, n - 1), min(5, n - 1)} - {0}):  # k < n without self
             got = neighbors.knn_indices(X, X, k, exclude_self=True)
             assert got.tolist() == oracles.knn_order(X, X, k, exclude_self=True)
+
+
+def test_knn_indices_duplicate_rows_resolve_toward_the_lower_index():
+    # non-integer rows, each repeated at scattered positions: a row and its
+    # exact duplicates must get one distance, so every chosen row comes after
+    # all of its lower-index duplicates (the small-integer cases above have
+    # exact products and cannot show this)
+    rng = np.random.default_rng(0)
+    group = rng.integers(0, 60, 1500)
+    X = rng.random((60, 10))[group]
+    n_lower = np.array([(group[:j] == group[j]).sum() for j in range(len(X))])
+    for row in neighbors.knn_indices(rng.random((512, 10)), X, 5):
+        g = group[row]
+        before = np.tril(g[:, None] == g[None, :], -1) & (row[None, :] < row[:, None])
+        assert before.sum(axis=1).tolist() == n_lower[row].tolist()
+
+
+_SQ_DISTS_GRID = """
+import hashlib
+import numpy as np
+from stratify.classifiers.neighbors import sq_dists
+rng = np.random.default_rng(0)
+digest = hashlib.sha256()
+for p in (2, 10):
+    for n in (20, 300, 700, 1500, 3000):
+        B = rng.random((n, p))
+        for m in (1, 2, 5, 9, 16, 17, 64, 512):
+            digest.update(sq_dists(rng.random((m, p)), B).tobytes())
+        if n <= 2048:
+            digest.update(sq_dists(B, B).tobytes())
+print(digest.hexdigest())
+"""
+
+
+def test_sq_dists_bits_do_not_depend_on_the_blas_thread_count():
+    # A of up to BLAS_ROWS = 16 rows (BLAS) and of more (einsum), square X against X too
+    one, two = stdout_at_blas_threads(["-c", _SQ_DISTS_GRID])
+    assert len(one.strip()) == 64 and one == two
 
 
 def test_knn_indices_block_size_from_training_rows(monkeypatch):

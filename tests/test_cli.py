@@ -5,7 +5,8 @@ import time
 import numpy as np
 import pytest
 
-from stratify import cli
+from conftest import stdout_at_blas_threads
+from stratify import cli, pipeline
 from stratify.dataset import edx_schema
 
 EDX_HEADER = ("age,gender,country,viewed,explored,ndays_act,nevents,nplay_video,"
@@ -132,6 +133,13 @@ def test_rerun_reproduces_checksums(workspace, run_dir):
     assert m_a["artifacts"] == m_b["artifacts"]
 
 
+def test_reference_run_digest_does_not_depend_on_the_blas_thread_count():
+    # SVC's Gram matrix, the neighbor search and the pair distances of the K
+    # vote once changed bits between 1 and 2 OpenBLAS threads
+    one, two = stdout_at_blas_threads(["tools/reference_run.py"])
+    assert one.startswith("156 artifacts") and one == two
+
+
 def test_config_seed_applies_without_seed_flag(workspace, run_dir, tmp_path):
     manifest = json.loads((run_dir / "a" / "manifest.json").read_text())
     assert manifest["seed"] == manifest["config"]["seed"] == 5
@@ -240,6 +248,22 @@ def test_run_arm_selection(workspace, tmp_path):
     assert (out / "direct/DT/metrics.json").exists()
     assert not (out / "comparison.json").exists()
     assert not (out / "integration").exists()
+
+
+def test_run_separates_the_direct_arm_by_pattern_once(workspace, tmp_path, monkeypatch):
+    # the direct arm's per-pattern reports and comparison.json read one separation
+    calls = []
+    real = pipeline.separate_by_pattern
+    monkeypatch.setattr(pipeline, "separate_by_pattern",
+                        lambda *args: calls.append(args) or real(*args))
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"seed": 2, "k_fixed": 2, "algorithms": ["DT"],
+                               "bootstrap_b": 0}))
+    out = tmp_path / "both"
+    assert run_cli("run", "--data", workspace / "ingest" / "clean.csv",
+                   "--config", cfg, "--out", out) == 0
+    assert len(calls) == 1
+    assert (out / "comparison.json").exists() and (out / "direct/separated").is_dir()
 
 
 def test_degenerate_pattern_run_exits_3(tmp_path):

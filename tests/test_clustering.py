@@ -46,9 +46,10 @@ def test_kmeans_fit_needs_a_restart(rng, k):
 def test_lloyd_inertia_increase_raises_clustering_error(rng, monkeypatch):
     # a real check, not an assert, so it survives python -O; scaling every
     # distance up on each call keeps the labels but makes the cost grow
-    real = cl._sq_dists
+    real = cl.sq_dists
     calls = iter(range(1, 1000))
-    monkeypatch.setattr(cl, "_sq_dists", lambda X, C, xx=None: real(X, C, xx) * 10.0 ** next(calls))
+    monkeypatch.setattr(cl, "sq_dists",
+                        lambda A, B, aa=None, bb=None: real(A, B, aa, bb) * 10.0 ** next(calls))
     X = rng.normal(size=(60, 2))
     with pytest.raises(ClusteringError, match="inertia increased"):
         cl._lloyd(X, X[:3].copy(), 50, 1e-6)

@@ -146,7 +146,7 @@ def test_compare_identical_runs_zero_improvement():
     integ = pl.run_integration(sample.dataset, cfg)
     direct = pl.run_direct(sample.dataset, pl.RunConfig(
         seed=11, algorithms=cfg.algorithms, bootstrap_b=0))
-    comp = pl.compare(integ, direct)
+    comp = pl.compare(integ, direct, pl.separate_by_pattern(direct, integ.assignment))
     for alg, cells in comp.overall.items():
         for metric, cell in cells.items():
             if cell["improvement_pct"] is not None:
@@ -167,7 +167,7 @@ def test_compare_requires_same_seed():
     integ = pl.run_integration(sample.dataset, quick_config(bootstrap_b=0))
     direct = pl.run_direct(sample.dataset, quick_config(seed=99, bootstrap_b=0))
     with pytest.raises(EvaluationError):
-        pl.compare(integ, direct)
+        pl.compare(integ, direct, pl.separate_by_pattern(direct, integ.assignment))
 
 
 def test_single_class_pattern_flagged_not_dropped():
@@ -197,7 +197,7 @@ def test_minority_pattern_gains_more_from_integration():
                            kmeans_restarts=3)
         integ = pl.run_integration(sample.dataset, cfg)
         direct = pl.run_direct(sample.dataset, cfg)
-        comp = pl.compare(integ, direct)
+        comp = pl.compare(integ, direct, pl.separate_by_pattern(direct, integ.assignment))
         for pid in (0, 1):
             cells = comp.per_pattern.get(pid, {})
             vals = [c["accuracy"]["improvement_pct"] for c in cells.values()
