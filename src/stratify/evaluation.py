@@ -173,38 +173,36 @@ class RateDistributions:
 
 def bootstrap_rate_distributions(y_true, y_pred, n_boot: int, seed: int,
                                  max_retries: int = 1000) -> RateDistributions:
-    """Resample test indices with replacement n_boot times; FPR/TPR per resample.
+    """FPR/TPR over n_boot resamples of the test rows with replacement.
 
-    Resamples missing one class are redrawn (bounded); deterministic per seed.
+    A resample's rates depend only on its confusion cells, whose law is
+    Multinomial(n, cells / n) (Efron & Tibshirani 1993), so the cells are drawn
+    directly: O(n_boot), not O(n_boot * n). Replicates missing a class are
+    redrawn (bounded); deterministic per seed.
     """
     if n_boot < 1:
         raise EvaluationError("need at least one bootstrap replicate")
-    y_true = np.asarray(y_true)
-    y_pred = np.asarray(y_pred)
-    if np.sum(y_true == 1) == 0 or np.sum(y_true == 0) == 0:
+    cm = confusion(y_true, y_pred)
+    n_pos = cm.tp + cm.fn
+    if n_pos == 0 or n_pos == cm.total:
         raise EvaluationError("bootstrap rates require both classes present")
     rng = derive_rng(seed, "bootstrap_rates")
-    n = len(y_true)
-    fprs = np.empty(n_boot)
-    tprs = np.empty(n_boot)
-    for b in range(n_boot):
-        for attempt in range(max_retries + 1):
-            idx = rng.integers(0, n, n)
-            yt = y_true[idx]
-            if yt.min() != yt.max():
-                break
-        else:
-            raise EvaluationError("bootstrap retry bound exceeded: a class is pathologically rare")
-        yp = y_pred[idx]
-        pos = yt == 1
-        tprs[b] = np.sum(yp[pos] == 1) / np.sum(pos)
-        fprs[b] = np.sum(yp[~pos] == 1) / np.sum(~pos)
-    summary = {
-        "fpr": {"median": float(np.median(fprs)),
-                "q1": float(np.percentile(fprs, 25)), "q3": float(np.percentile(fprs, 75))},
-        "tpr": {"median": float(np.median(tprs)),
-                "q1": float(np.percentile(tprs, 25)), "q3": float(np.percentile(tprs, 75))},
-    }
+    p = np.array([cm.tp, cm.fn, cm.fp, cm.tn]) / cm.total
+    cells = np.empty((n_boot, 4), dtype=np.int64)
+    draw = np.arange(n_boot)
+    for _ in range(max_retries + 1):
+        cells[draw] = rng.multinomial(cm.total, p, size=draw.size)
+        pos = cells[draw, 0] + cells[draw, 1]
+        draw = draw[(pos == 0) | (pos == cm.total)]
+        if draw.size == 0:
+            break
+    else:
+        raise EvaluationError("bootstrap retry bound exceeded: a class is pathologically rare")
+    tp, fn, fp, tn = cells.T
+    fprs, tprs = fp / (fp + tn), tp / (tp + fn)
+    summary = {name: {"median": float(np.median(r)), "q1": float(np.percentile(r, 25)),
+                      "q3": float(np.percentile(r, 75))}
+               for name, r in (("fpr", fprs), ("tpr", tprs))}
     return RateDistributions(fprs, tprs, seed, summary)
 
 

@@ -5,10 +5,11 @@ code with the package: partition costs by exhaustive enumeration, validity
 indices straight from their formulas, AUC by pair counting, Shapley values via
 the permutation definition, gradients by central differences, the
 logistic-regression optimum by scipy's L-BFGS-B. The
-exceptions are ``frozen_lloyd`` and the ``frozen_*`` CSV functions: verbatim
-copies of earlier implementations (Lloyd; the cell-by-cell ingest, encoding
-and CSV reading and writing), kept so a faster rewrite can be checked bit for
-bit.
+exceptions are ``frozen_lloyd``, the ``frozen_*`` CSV functions and
+``bootstrap_rows``: verbatim copies of earlier implementations (Lloyd; the
+cell-by-cell ingest, encoding and CSV reading and writing; the row-resampling
+bootstrap), kept so a faster rewrite can be checked bit for bit, or in law
+where its random stream differs.
 """
 
 import csv
@@ -596,3 +597,30 @@ def frozen_save_cohort_csv(path, columns, true_pattern, schema):
         for i in range(len(true_pattern)):
             row = [columns[c][i] for c in schema.columns]
             w.writerow(row + [int(true_pattern[i])])
+
+
+def bootstrap_rows(y_true, y_pred, n_boot, rng, max_retries=1000):
+    """FPR/TPR by resampling test rows with replacement, one replicate at a time.
+
+    A verbatim copy of the loop ``evaluation.bootstrap_rate_distributions`` ran
+    before it drew the four confusion cells directly; the statistical tests
+    compare the two laws. Returns ``(fprs, tprs)``.
+    """
+    y_true = np.asarray(y_true)
+    y_pred = np.asarray(y_pred)
+    n = len(y_true)
+    fprs = np.empty(n_boot)
+    tprs = np.empty(n_boot)
+    for b in range(n_boot):
+        for attempt in range(max_retries + 1):
+            idx = rng.integers(0, n, n)
+            yt = y_true[idx]
+            if yt.min() != yt.max():
+                break
+        else:
+            raise RuntimeError("bootstrap retry bound exceeded: a class is pathologically rare")
+        yp = y_pred[idx]
+        pos = yt == 1
+        tprs[b] = np.sum(yp[pos] == 1) / np.sum(pos)
+        fprs[b] = np.sum(yp[~pos] == 1) / np.sum(~pos)
+    return fprs, tprs

@@ -145,6 +145,91 @@ def test_bootstrap_requires_both_classes():
         ev.bootstrap_rate_distributions(np.ones(5, dtype=int), np.ones(5, dtype=int), 10, 0)
 
 
+@pytest.mark.parametrize("y_pred", [[0, 1, 0, 1, 1, 1, 1, 1], [0, 1, 0], [[0, 1, 0, 1]]],
+                         ids=["longer", "shorter", "2-D"])
+def test_bootstrap_refuses_misaligned_predictions(y_pred):
+    with pytest.raises(EvaluationError, match="1-D and of equal length"):
+        ev.bootstrap_rate_distributions([0, 1, 0, 1], y_pred, 10, seed=0)
+
+
+def test_bootstrap_refuses_non_binary_labels():
+    with pytest.raises(EvaluationError, match="binary"):
+        ev.bootstrap_rate_distributions([0, 1, 2, 1], [0, 1, 1, 1], 10, seed=0)
+    with pytest.raises(EvaluationError, match="binary"):
+        ev.bootstrap_rate_distributions([0, 1, 0, 1], [0, 1, 2, 1], 10, seed=0)
+
+
+def test_bootstrap_retry_bound_raises():
+    # one row per class: each resample misses a class with probability 1/2
+    with pytest.raises(EvaluationError, match="bootstrap retry bound exceeded"):
+        ev.bootstrap_rate_distributions([0, 1], [0, 1], 1000, seed=0, max_retries=0)
+
+
+def test_bootstrap_redraws_every_replicate_missing_a_class():
+    # one positive in three rows: a third of the first draws miss a class
+    dist = ev.bootstrap_rate_distributions([0, 1, 0], [1, 1, 0], 10_000, seed=0)
+    assert not np.isnan(dist.fpr_samples).any() and not np.isnan(dist.tpr_samples).any()
+    assert np.all(dist.tpr_samples == 1.0)
+
+
+# (tp, fn, fp, tn): a test set small enough that a resample misses the
+# positive class one time in nine, and a larger, less skewed one
+RATE_CASES = [(1, 1, 2, 8), (30, 12, 9, 49)]
+
+
+def _labels(tp, fn, fp, tn):
+    y = np.array([1] * (tp + fn) + [0] * (fp + tn))
+    pred = np.array([1] * tp + [0] * fn + [1] * fp + [0] * tn)
+    return y, pred
+
+
+@pytest.mark.parametrize("cells", RATE_CASES)
+def test_bootstrap_rates_have_the_row_resampling_law(cells):
+    """Two-sample KS against the frozen row-resampling loop, 20,000 replicates
+    each; neither rate may reject at the 1% level."""
+    from scipy.stats import ks_2samp
+
+    y, pred = _labels(*cells)
+    old_fpr, old_tpr = oracles.bootstrap_rows(y, pred, 20_000, np.random.default_rng(11))
+    new = ev.bootstrap_rate_distributions(y, pred, 20_000, seed=11)
+    assert ks_2samp(old_tpr, new.tpr_samples).pvalue > 0.01
+    assert ks_2samp(old_fpr, new.fpr_samples).pvalue > 0.01
+
+
+def _rate_moments(n, n_cls, k, pos_class):
+    """Exact mean and variance of k/n_cls's bootstrap replicate given both classes.
+
+    The resample's count P of positive rows is Binomial(n, n_pos/n), kept on
+    0 < P < n; given P, the rate is a binomial proportion with mean q = k/n_cls
+    over m rows (m = P for TPR, n - P for FPR), so Var = E[q(1-q)/m | 0 < P < n].
+    """
+    q = k / n_cls
+    n_pos = n_cls if pos_class else n - n_cls
+    pi = n_pos / n
+    pmf = {p: math.comb(n, p) * pi ** p * (1 - pi) ** (n - p) for p in range(1, n)}
+    kept = sum(pmf.values())
+    var = sum(w * q * (1 - q) / (p if pos_class else n - p) for p, w in pmf.items()) / kept
+    return q, var
+
+
+@pytest.mark.parametrize("cells", RATE_CASES)
+def test_bootstrap_rate_moments_match_the_multinomial_law(cells):
+    """Mean and variance of 10^5 replicates within 4 standard errors of the exact
+    moments (the variance's standard error estimated from the replicates)."""
+    tp, fn, fp, tn = cells
+    n = tp + fn + fp + tn
+    y, pred = _labels(*cells)
+    dist = ev.bootstrap_rate_distributions(y, pred, 100_000, seed=3)
+    for samples, n_cls, k, pos_class in ((dist.tpr_samples, tp + fn, tp, True),
+                                         (dist.fpr_samples, fp + tn, fp, False)):
+        mean, var = _rate_moments(n, n_cls, k, pos_class)
+        dev2 = (samples - samples.mean()) ** 2
+        se_mean = math.sqrt(var / samples.size)
+        se_var = dev2.std() / math.sqrt(samples.size)
+        assert abs(samples.mean() - mean) <= 4 * se_mean
+        assert abs(samples.var() - var) <= 4 * se_var
+
+
 def test_chi_square_examples():
     flat = ev.ContingencyTable2x2(10, 10, 10, 10)
     chi2, df, p = ev.chi_square_2x2(flat)
