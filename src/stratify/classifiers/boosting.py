@@ -2,7 +2,7 @@
 
 Each round fits a depth-capped tree to the current gradient/hessian pair
 (g = p - y, h = p(1-p)); leaves take the closed-form optimum -G/(H + lambda)
-and splits maximize the standard regularized gain
+of ``leaf_weight`` and splits maximize the standard regularized gain
 
     1/2 * (GL^2/(HL+lambda) + GR^2/(HR+lambda) - (GL+GR)^2/(HL+HR+lambda)) - gamma.
 
@@ -43,8 +43,8 @@ class GBTState(TreeEnsemble):
 
 
 def leaf_weight(G: float, H: float, lam: float) -> float:
-    """Closed-form minimizer of G*w + 1/2*(H + lam)*w^2."""
-    return -G / (H + lam)
+    """Closed-form minimizer of G*w + 1/2*(H + lam)*w^2; H + lam is floored at 1e-16."""
+    return -G / max(H + lam, 1e-16)
 
 
 def split_gain(GL, HL, GR, HR, lam, gamma):
@@ -61,7 +61,7 @@ def fit_gbt(X, y, params: GBTParams, seed: int):
         return split_gain(GL, HL, G - GL, H - HL, lam, gamma_)
 
     def leaf_value(G, H):
-        return eta * (-G / max(H + lam, 1e-16))
+        return eta * leaf_weight(G, H, lam)
 
     margin = np.zeros(n)
     curve = [float(log_loss_terms(margin, y).mean())]

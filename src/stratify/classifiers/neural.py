@@ -1,6 +1,8 @@
 """Single-hidden-layer perceptron: tanh hidden units, sigmoid output, L2 penalty,
 trained with mini-batch gradient descent. The loss/gradient pair is exposed as a
-plain function so it can be checked against finite differences.
+plain function so it can be checked against finite differences. The fit's meta
+says ``converged`` when an epoch's loss change below ``stop_tol`` ended it before
+``max_epochs`` did.
 """
 
 from __future__ import annotations
@@ -69,6 +71,7 @@ def fit_mlp(X, y, params: MLPParams, seed: int):
     n = X.shape[0]
     lr = params.learning_rate
     prev = np.inf
+    converged = False
     for epoch in range(1, params.max_epochs + 1):
         order = shuffle_rng.permutation(n)
         for start in range(0, n, params.batch_size):
@@ -80,9 +83,10 @@ def fit_mlp(X, y, params: MLPParams, seed: int):
             state.b2 -= lr * gb2
         loss, _ = mlp_loss_grad(state, X, y, params.alpha)
         if abs(prev - loss) < params.stop_tol:
+            converged = True
             break
         prev = loss
-    meta = {"n_iter": epoch, "final_loss": loss}
+    meta = {"n_iter": epoch, "final_loss": loss, "converged": converged}
     return state, meta
 
 

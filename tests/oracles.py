@@ -332,6 +332,25 @@ def lr_optimum(X, y, lam):
     return float(ref.fun)
 
 
+def svc_dual_optimum(K, y, C):
+    """Minimum of the SVC dual 1/2 a'Qa - e'a, Q_ij = y_i y_j K_ij, over 0 <= a <= C
+    and y'a = 0 (y in {-1, +1}), found by SLSQP from zero."""
+    from scipy import optimize
+
+    Q = y[:, None] * y[None, :] * K
+
+    def objective(a):
+        Qa = Q @ a
+        return 0.5 * a @ Qa - a.sum(), Qa - 1.0
+
+    ref = optimize.minimize(objective, np.zeros(len(y)), jac=True, method="SLSQP",
+                            bounds=[(0.0, C)] * len(y),
+                            constraints=[{"type": "eq", "fun": lambda a: y @ a,
+                                          "jac": lambda a: y}],
+                            options={"maxiter": 2000, "ftol": 1e-14})
+    return float(ref.fun)
+
+
 def central_diff_grad(f, theta, eps=1e-6):
     theta = np.asarray(theta, dtype=float)
     g = np.zeros_like(theta)

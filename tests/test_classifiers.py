@@ -377,6 +377,55 @@ def test_gbt_leaf_weight_examples_and_oracle(rng):
         assert direct == pytest.approx(numeric, abs=1e-12)
 
 
+def _overlapping(rng, n, p=2):
+    X = rng.normal(size=(n, p))
+    y = (X[:, 0] + rng.normal(scale=0.8, size=n) > 0).astype(int)
+    y[:2] = (0, 1)  # both classes
+    return X, y
+
+
+def _leaf_of(tree, X):
+    out = np.empty(len(X), dtype=np.int64)
+    for r, x in enumerate(X):
+        node = 0
+        while tree.feature[node] >= 0:
+            go_left = x[tree.feature[node]] <= tree.threshold[node]
+            node = tree.left[node] if go_left else tree.right[node]
+        out[r] = node
+    return out
+
+
+def test_gbt_leaves_take_leaf_weight_of_their_rows(rng):
+    # each leaf is eta * leaf_weight(G, H, lambda) over the training rows that reach
+    # it, with g and h replayed from the margin of the trees before it; the grower
+    # sums a node's rows in the stable order of feature 0, so the bits match
+    X = rng.normal(size=(150, 3))
+    y = ((X[:, 0] - X[:, 1] + rng.normal(scale=0.5, size=150)) > 0).astype(np.float64)
+    eta, lam = 0.3, 2.0
+    m = clf.fit("GBT", X, y, {"n_trees": 8, "max_depth": 3, "learning_rate": eta,
+                              "reg_lambda": lam}, seed=0)
+    order = np.argsort(X[:, 0], kind="stable")
+    margin = np.zeros(len(y))
+    for tree in m.state.forest:
+        prob = linear.sigmoid(margin)
+        g, h = prob - y, prob * (1.0 - prob)
+        leaf_of = _leaf_of(tree, X)
+        for leaf in np.unique(leaf_of):
+            rows = order[leaf_of[order] == leaf]
+            G, H = float(g[rows].sum()), float(h[rows].sum())
+            assert tree.value[leaf] == eta * boosting.leaf_weight(G, H, lam)
+        margin += tree.value[leaf_of]
+    assert len(m.state.forest) == 8
+
+
+def test_mlp_reports_whether_stop_tol_ended_the_fit(rng):
+    X, y = _overlapping(rng, 60, 3)
+    stopped = clf.fit("MLP", X, y, {"stop_tol": 0.01}, seed=0)
+    assert stopped.meta["converged"] is True and stopped.meta["n_iter"] < 200
+    capped = clf.fit("MLP", X, y, {"max_epochs": 3, "stop_tol": 0.0}, seed=0)
+    assert capped.meta["converged"] is False and capped.meta["n_iter"] == 3
+
+
 def test_gbt_loss_monotone_and_curve_recorded(rng):
     X = rng.normal(size=(80, 4))
     y = ((X[:, 0] + 0.5 * X[:, 1] + rng.normal(scale=0.3, size=80)) > 0).astype(int)
@@ -406,23 +455,45 @@ def test_gbt_split_gain_positive_requirement(rng):
 
 
 def test_svc_computes_each_pair_column_once(rng, monkeypatch):
-    # above 2048 rows SVC computes kernel columns on demand; an accepted pair
-    # needs column i for K_ij and for the f update, and should compute it once
-    n = 2100
-    X = rng.normal(size=(n, 3))
-    y = (X[:, 0] + rng.normal(scale=0.5, size=n) > 0).astype(int)
-    requested = []
+    # a kernel column is computed only when the cache does not hold it; with the
+    # budget cut to 6 columns the cache evicts, stays within it, and the fit keeps
+    # its bits, because a recomputed column equals the evicted one
+    n = 300
+    X, y = _overlapping(rng, n, 3)
+    caches, computed, held = [], [], []
     real = svm.sq_dists
+
+    class Spy(svm.KernelColumns):
+        def __init__(self, *args):
+            super().__init__(*args)
+            caches.append(self)
+
+        def __call__(self, i):
+            col = super().__call__(i)
+            held.append(len(self.cols))
+            return col
 
     def counting(A, B, aa=None, bb=None):
         if len(B) == 1:  # column i is the distances from every row to X[i]
-            requested.extend(np.flatnonzero((X == B[0]).all(axis=1)).tolist())
+            i = int(np.flatnonzero((X == B[0]).all(axis=1))[0])
+            assert i not in caches[-1].cols, i
+            computed.append(i)
         return real(A, B, aa, bb)
 
+    monkeypatch.setattr(svm, "KernelColumns", Spy)
     monkeypatch.setattr(svm, "sq_dists", counting)
-    clf.fit("SVC", X, y, {"max_sweeps": 2}, seed=0)
-    assert len(requested) > n // 2
-    assert all(a != b for a, b in zip(requested, requested[1:]))
+    full = clf.fit("SVC", X, y, seed=0)
+    assert full.meta["converged"] and full.meta["n_iter"] > 50
+    assert len(computed) == len(set(computed)) == max(held)
+
+    computed.clear()
+    held.clear()
+    monkeypatch.setattr(svm, "CACHE_BYTES", 6 * 8 * n)
+    small = clf.fit("SVC", X, y, seed=0)
+    assert len(computed) > len(set(computed))  # evicted columns came back
+    assert max(held) == caches[-1].slots == 6
+    assert json.dumps(clf.model_to_dict(small), sort_keys=True) == json.dumps(
+        clf.model_to_dict(full), sort_keys=True)
 
 
 def test_svc_kkt_conditions_on_separable_instances(rng):
@@ -434,19 +505,38 @@ def test_svc_kkt_conditions_on_separable_instances(rng):
         X[y == 0] -= 1.5
         if y.min() == y.max():
             continue
-        m = clf.fit("SVC", X, y, {"C": 5.0, "tol": 1e-4, "max_passes": 20,
-                                  "max_sweeps": 2000}, seed=trial)
+        m = clf.fit("SVC", X, y, {"C": 5.0, "tol": 1e-4, "max_iter": 10_000}, seed=trial)
+        assert m.meta["converged"]
         state = m.state
         margins = svm.decision_function(state, X) * np.where(y == 1, 1.0, -1.0)
         # reconstruct full alpha vector from support set membership
         sv_rows = {tuple(r) for r in state.support_X}
-        tol = 1e-3
         for i in range(n):
             yf = margins[i]
             if tuple(X[i]) not in sv_rows:  # alpha == 0
                 assert yf >= 1.0 - 1e-2
     # at least the non-support condition holds; boundedness checked via alphas
         assert np.all(np.abs(state.dual_coef) <= 5.0 + 1e-9)
+
+
+def test_svc_reaches_the_dual_optimum(rng):
+    # overlapping classes put multipliers at 0, at C and in between
+    for trial in range(12):
+        C = (0.1, 1.0, 5.0, 50.0)[trial % 4]
+        X, y = _overlapping(rng, int(rng.integers(12, 40)))
+        m = clf.fit("SVC", X, y, {"C": C, "tol": 1e-8}, seed=0)
+        c = m.state.dual_coef  # alpha_i * y_i of the support vectors
+        assert m.meta["converged"] is True
+        assert np.all((np.abs(c) > 0) & (np.abs(c) <= C))
+        assert abs(c.sum()) <= 1e-9
+        K_sv = np.exp(-m.state.gamma * neighbors.sq_dists(m.state.support_X, m.state.support_X))
+        dual = 0.5 * c @ K_sv @ c - np.abs(c).sum()
+        assert m.meta["final_loss"] == pytest.approx(dual, rel=1e-9)
+        K = np.exp(-m.state.gamma * neighbors.sq_dists(X, X))
+        oracle = oracles.svc_dual_optimum(K, np.where(y == 1, 1.0, -1.0), C)
+        assert dual == pytest.approx(oracle, rel=1e-6)
+        one = clf.fit("SVC", X, y, {"C": C, "tol": 1e-8, "max_iter": 1}, seed=0)
+        assert one.meta["converged"] is False and one.meta["n_iter"] == 1
 
 
 def test_model_serialization_roundtrip_bit_exact(tmp_path, rng):
@@ -599,7 +689,7 @@ def test_resolve_params_rejects_unknown_keys():
     ("MLP", {"alpha": float("nan")}),
     ("SVC", {"C": 0.0}),
     ("SVC", {"gamma": 0}),
-    ("SVC", {"max_sweeps": 0}),
+    ("SVC", {"max_iter": 0}),
     ("SVC", {"tol": -1.0}),
     ("SVC", {"gamma": "auto"}),
     ("SVC", {"kernel": "linear"}),
@@ -643,7 +733,7 @@ KNOB_VALUES = {
     "KNN": {"n_neighbors": 1},
     "MLP": {"hidden": 5, "alpha": 1.0, "learning_rate": 0.01, "batch_size": 8, "max_epochs": 3,
             "stop_tol": 0.1},
-    "SVC": {"C": 0.1, "gamma": 2.0, "tol": 0.5, "max_passes": 1, "max_sweeps": 1},
+    "SVC": {"C": 0.1, "gamma": 2.0, "tol": 0.5, "max_iter": 1},
     "GBT": {"max_depth": 1, "n_trees": 3, "learning_rate": 0.1, "reg_lambda": 10.0,
             "reg_gamma": 1.0, "min_child_weight": 5.0, "min_leaf": 10},
 }

@@ -247,7 +247,8 @@ def test_config_rejects_misspelt_hyperparameters():
         pl.RunConfig(pattern_hparams=({"RF": {"n_tree": 5}},))
     with pytest.raises(ConfigError, match="leaf_size"):  # removed: it was never read
         pl.RunConfig.from_dict({"direct_hparams": {"KNN": {"leaf_size": 30}}})
-    # removed: doubled (GBT), single-valued (SVC, MLP) or replaced by Newton's method (LR)
+    # removed: doubled (GBT), single-valued (SVC, MLP), replaced by Newton's method (LR)
+    # or by the SMO solver's pair-update cap (SVC)
     for alg, key, value in REMOVED_KEYS:
         with pytest.raises(ConfigError, match=key):
             pl.RunConfig.from_dict({"direct_hparams": {alg: {key: value}}})
@@ -255,7 +256,8 @@ def test_config_rejects_misspelt_hyperparameters():
 
 REMOVED_KEYS = (("GBT", "max_iterations", 50), ("SVC", "kernel", "rbf"),
                 ("MLP", "activation", "tanh"), ("LR", "stop_tol", 0.002),
-                ("LR", "learning_rate", 0.1))
+                ("LR", "learning_rate", 0.1), ("SVC", "max_passes", 5),
+                ("SVC", "max_sweeps", 500))
 
 
 @pytest.mark.parametrize("doc, key", [

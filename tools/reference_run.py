@@ -6,8 +6,7 @@ must match. The sequence, on a ``separated2`` cohort of 800 rows with seed 3:
 
     synth, ingest, cluster, cluster --k-fixed 2,
     run (all seven algorithms, K fixed at 2, bootstrap B = 50,
-         default hyperparameters with RF n_trees 5, MLP max_epochs 10 and
-         SVC max_sweeps 20),
+         default hyperparameters with RF n_trees 5 and MLP max_epochs 10),
     explain --pattern 0 --n-explain 20 --background 30
 
 then synth, ingest and cluster on a ``separated2`` cohort of 3,000 rows, which
@@ -49,7 +48,6 @@ def _config() -> dict:
     for hparams in (*cfg["pattern_hparams"], cfg["direct_hparams"]):
         hparams["RF"] = {**hparams["RF"], "n_trees": 5}
         hparams["MLP"] = {**hparams["MLP"], "max_epochs": 10}
-        hparams["SVC"] = {**hparams["SVC"], "max_sweeps": 20}
     return cfg
 
 
