@@ -12,7 +12,6 @@ from .errors import (
     ClusteringError,
     ConfigError,
     DataError,
-    DegenerateStatistics,
     EvaluationError,
     ExplainError,
     ResamplingError,
@@ -30,5 +29,4 @@ __all__ = [
     "EvaluationError",
     "ResamplingError",
     "ExplainError",
-    "DegenerateStatistics",
 ]

@@ -7,8 +7,8 @@ one pattern of a finished run). Every command records a manifest with
 per-artifact checksums, and all randomness comes from one seed (``explain``
 takes the run's), so reruns are byte identical.
 
-Exit codes: 0 ok, 1 internal error, 2 input/validation error, 3 completed with
-degenerate statistics (e.g. a single-class pattern).
+Exit codes: 0 ok, 1 internal error, 2 input/validation error, 3 ``run``
+completed but raised degenerate-statistics flags (e.g. a single-class pattern).
 """
 
 from __future__ import annotations
@@ -26,14 +26,18 @@ import numpy as np
 from . import __version__, classifiers as clf, explain as explain_mod
 from . import dataset as ds_mod
 from . import pipeline, reports, synthcohort
-from .errors import DataError, DegenerateStatistics, StratifyError
+from .errors import ConfigError, DataError, StratifyError
 from .rng import derive_rng, derive_seed
 
 EXIT_OK, EXIT_INTERNAL, EXIT_INVALID, EXIT_DEGENERATE = 0, 1, 2, 3
 
 
+def _schema(args):
+    return ds_mod.FeatureSchema.from_json(args.schema) if args.schema else ds_mod.edx_schema()
+
+
 def _load_dataset(args):
-    schema = ds_mod.FeatureSchema.from_json(args.schema) if args.schema else ds_mod.edx_schema()
+    schema = _schema(args)
     return ds_mod.load_dataset_csv(args.data, schema), schema
 
 
@@ -44,7 +48,12 @@ def cmd_synth(args) -> int:
     elif args.profile == "edx":
         spec = synthcohort.edx_cohort_spec()
     else:
-        spec = synthcohort.separated_spec(int(args.profile.removeprefix("separated")))
+        try:
+            k = int(args.profile.removeprefix("separated"))
+        except ValueError:
+            raise ConfigError(f"unknown profile {args.profile!r}: use edx or separated<K>, "
+                              "e.g. separated3") from None
+        spec = synthcohort.separated_spec(k)
     sample = synthcohort.generate(spec, args.n, args.seed)
     rundir = reports.RunDirectory(args.out)
     synthcohort.save_cohort_csv(rundir.path("synth_cohort.csv"), sample)
@@ -59,13 +68,13 @@ def cmd_synth(args) -> int:
 
 def cmd_ingest(args) -> int:
     started = time.time()
-    schema = ds_mod.FeatureSchema.from_json(args.schema) if args.schema else ds_mod.edx_schema()
+    schema = _schema(args)
     raw = ds_mod.load_person_course(args.data, schema)
     cleaned, stats = ds_mod.clean(raw, schema)
     dataset, encoder = ds_mod.encode(cleaned, schema)
     rundir = reports.RunDirectory(args.out)
     ds_mod.save_dataset_csv(rundir.path("clean.csv"), dataset)
-    ds_mod.save_preprocess_sidecar(rundir.path("preprocess.json"), encoder, None)
+    ds_mod.save_preprocess_sidecar(rundir.path("preprocess.json"), encoder)
     reports.write_json(rundir.path("schema.json"), schema.to_dict())
     rundir.write_manifest("ingest", {"data": str(args.data)}, args.seed, started)
     print(f"kept {stats.kept} rows; dropped {stats.dropped} "
@@ -106,7 +115,7 @@ def cmd_run(args) -> int:
     dataset, schema = _load_dataset(args)
     # stage 1 first: a K range the data cannot hold fails before anything is written
     stage1_result = pipeline.stage1(dataset, cfg)
-    model, assignment, kselect = stage1_result
+    _, assignment, kselect = stage1_result
     rundir = reports.RunDirectory(args.out)
     ds_mod.save_dataset_csv(rundir.path("data.csv"), dataset)
     reports.write_json(rundir.path("schema.json"), schema.to_dict())
@@ -160,6 +169,9 @@ def cmd_run(args) -> int:
 
 def cmd_explain(args) -> int:
     started = time.time()
+    for flag, value in (("--n-explain", args.n_explain), ("--background", args.background)):
+        if value < 1:
+            raise ConfigError(f"{flag} must be at least 1, got {value}")
     rundir_path = args.run_dir
     with open(os.path.join(rundir_path, "run_state.json"), "r", encoding="utf-8") as fh:
         state = json.load(fh)
@@ -265,9 +277,6 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except DegenerateStatistics as e:
-        print(f"degenerate statistics: {e}", file=sys.stderr)
-        return EXIT_DEGENERATE
     except (StratifyError, FileNotFoundError, json.JSONDecodeError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INVALID

@@ -420,10 +420,6 @@ def validity_index(X, labels, index_id: str, dists=None, inertias=None) -> float
     return fn(inertias, part.k, *part.X.shape)
 
 
-def silhouette_index(X, labels, dists=None) -> float:
-    return validity_index(X, labels, "silhouette", dists)
-
-
 # ---------------------------------------------------------------------------
 # K selection
 # ---------------------------------------------------------------------------

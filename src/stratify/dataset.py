@@ -341,10 +341,6 @@ class Encoder:
     def to_dict(self) -> dict:
         return {"mappings": self.mappings, "schema": self.schema.to_dict()}
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "Encoder":
-        return cls(FeatureSchema.from_dict(d["schema"]), d["mappings"])
-
 
 def encode(table: RawTable, schema: FeatureSchema) -> tuple[LabeledDataset, Encoder]:
     """Fit encodings on `table` and transform it. Row order does not affect values."""
@@ -358,29 +354,16 @@ class NormalizationParams:
 
     mins: np.ndarray
     maxs: np.ndarray
-    feature_names: tuple[str, ...]
 
     def __post_init__(self):
         if np.any(self.mins > self.maxs):
             raise DataError("normalizer requires min <= max per feature")
 
-    def to_dict(self) -> dict:
-        # explicit arrays: feature order must survive key-sorting serializers
-        return {"features": list(self.feature_names),
-                "min": [float(v) for v in self.mins],
-                "max": [float(v) for v in self.maxs]}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "NormalizationParams":
-        return cls(np.array(d["min"], dtype=np.float64),
-                   np.array(d["max"], dtype=np.float64),
-                   tuple(d["features"]))
-
 
 def fit_normalizer(ds: LabeledDataset) -> NormalizationParams:
     if ds.n == 0:
         raise DataError("cannot fit normalizer on empty dataset")
-    return NormalizationParams(ds.X.min(axis=0), ds.X.max(axis=0), ds.feature_names)
+    return NormalizationParams(ds.X.min(axis=0), ds.X.max(axis=0))
 
 
 def apply_normalizer(params: NormalizationParams, ds: LabeledDataset) -> LabeledDataset:
@@ -400,7 +383,6 @@ def apply_normalizer(params: NormalizationParams, ds: LabeledDataset) -> Labeled
 class SplitIndices:
     train: np.ndarray
     test: np.ndarray
-    seed: int
 
 
 def stratified_split(ds: LabeledDataset, ratio: float, seed: int) -> SplitIndices:
@@ -429,23 +411,14 @@ def stratified_split(ds: LabeledDataset, ratio: float, seed: int) -> SplitIndice
     test = np.sort(np.concatenate(test_parts))
     if len(test) == 0:
         raise DataError("empty test set")
-    return SplitIndices(train, test, seed)
+    return SplitIndices(train, test)
 
 
-def save_preprocess_sidecar(path, encoder: Encoder, norm: NormalizationParams | None) -> None:
-    """Persist encodings + normalization so transforms replay bit-exactly."""
-    doc = {"encoder": encoder.to_dict(),
-           "normalization": norm.to_dict() if norm is not None else None}
+def save_preprocess_sidecar(path, encoder: Encoder) -> None:
+    """Persist the schema and categorical encodings so the transform replays
+    bit-exactly. Min-max normalization is refit per training split, not stored."""
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=1, sort_keys=True)
-
-
-def load_preprocess_sidecar(path) -> tuple[Encoder, NormalizationParams | None]:
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    norm = doc.get("normalization")
-    return (Encoder.from_dict(doc["encoder"]),
-            NormalizationParams.from_dict(norm) if norm else None)
+        json.dump({"encoder": encoder.to_dict()}, fh, indent=1, sort_keys=True)
 
 
 def write_columns_csv(path, header: list[str], columns: list[np.ndarray]) -> None:

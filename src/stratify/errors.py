@@ -1,4 +1,5 @@
-"""Exception hierarchy. CLI maps these onto exit codes (2 = bad input, 3 = degenerate stats)."""
+"""Exception hierarchy. The CLI maps every one onto exit code 2 (bad input); exit
+code 3 comes only from the degenerate-statistics flags of a completed ``run``."""
 
 
 class StratifyError(Exception):
@@ -30,8 +31,4 @@ class EvaluationError(StratifyError):
 
 
 class ExplainError(StratifyError):
-    """Attribution failure: wrong model family, guard exceeded, or axiom violation."""
-
-
-class DegenerateStatistics(StratifyError):
-    """A run completed but produced statistically degenerate partitions (exit code 3)."""
+    """Attribution failure: wrong model family, shape mismatch, or axiom violation."""

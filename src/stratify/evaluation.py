@@ -10,7 +10,7 @@ which doubles as a cheap self-check.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,10 +28,6 @@ class ConfusionMatrix:
     @property
     def total(self) -> int:
         return self.tp + self.fp + self.fn + self.tn
-
-    def __add__(self, other: "ConfusionMatrix") -> "ConfusionMatrix":
-        return ConfusionMatrix(self.tp + other.tp, self.fp + other.fp,
-                               self.fn + other.fn, self.tn + other.tn)
 
     def to_dict(self) -> dict:
         return {"tp": self.tp, "fp": self.fp, "fn": self.fn, "tn": self.tn}
@@ -167,8 +163,7 @@ class RateDistributions:
 
     fpr_samples: np.ndarray
     tpr_samples: np.ndarray
-    seed: int
-    summary: dict = field(default_factory=dict)
+    summary: dict
 
 
 def bootstrap_rate_distributions(y_true, y_pred, n_boot: int, seed: int,
@@ -203,19 +198,17 @@ def bootstrap_rate_distributions(y_true, y_pred, n_boot: int, seed: int,
     summary = {name: {"median": float(np.median(r)), "q1": float(np.percentile(r, 25)),
                       "q3": float(np.percentile(r, 75))}
                for name, r in (("fpr", fprs), ("tpr", tprs))}
-    return RateDistributions(fprs, tprs, seed, summary)
+    return RateDistributions(fprs, tprs, summary)
 
 
 @dataclass(frozen=True)
 class ContingencyTable2x2:
-    """Counts [[a, b], [c, d]] with row/column labels."""
+    """Counts [[a, b], [c, d]]."""
 
     a: int
     b: int
     c: int
     d: int
-    row_labels: tuple[str, str] = ("row0", "row1")
-    col_labels: tuple[str, str] = ("col0", "col1")
 
     @property
     def total(self) -> int:

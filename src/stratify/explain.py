@@ -2,19 +2,17 @@
 
 The Shapley value function is interventional: v(S) is the model output averaged
 over background rows whose features in S are overwritten with the explained
-row's values. ``shap_bruteforce`` enumerates all 2^p subsets and works for any
-scoring function (guarded at p <= 20). For additive tree ensembles ``shap_matrix``
-computes the same quantity in closed form per (explained row, background row,
-leaf): a leaf is reached under a coalition iff every path feature taken from x
-satisfies its interval ("positive" literal) and every one taken from the
-background row does too ("negative" literal), and the Shapley value of such a
-conjunction game has a factorial closed form (the interventional tree game of
-Lundberg et al., Nature Machine Intelligence 2020). Each leaf is evaluated once
-for all explained rows; ``shap_tree_fast`` is the one-row case. Both walks, to
-the split gains and to the leaves, read the flat node arrays of
-``trees.Tree`` by index, so tree depth sets no limit. Every explained
-row must satisfy efficiency: base + sum(phi) equals the ensemble's own output at
-that row. Tree ensembles are explained on their additive scale (margin for
+row's values. For additive tree ensembles ``shap_matrix`` computes it exactly
+in closed form per (explained row, background row, leaf): a leaf is reached
+under a coalition iff every path feature taken from x satisfies its interval
+("positive" literal) and every one taken from the background row does too
+("negative" literal), and the Shapley value of such a conjunction game has a
+factorial closed form (the interventional tree game of Lundberg et al., Nature
+Machine Intelligence 2020). Each leaf is evaluated once for all explained rows.
+Both walks, to the split gains and to the leaves, read the flat node arrays of
+``trees.Tree`` by index, so tree depth sets no limit. Every explained row must
+satisfy efficiency: base + sum(phi) equals the ensemble's own output at that
+row. Tree ensembles are explained on their additive scale (margin for
 boosting), so positive values push toward certification.
 """
 
@@ -86,46 +84,8 @@ def split_gain_importance(model, feature_names=None) -> ImportanceRanking:
 
 
 # ---------------------------------------------------------------------------
-# exact Shapley, any model
+# exact Shapley, tree ensembles
 # ---------------------------------------------------------------------------
-
-def shap_bruteforce(predict_fn, x, background, max_features_guard: int = 20):
-    """Exact Shapley attribution of predict_fn at x against a background sample.
-
-    phi_i = sum over S not containing i of |S|!(p-|S|-1)!/p! * (v(S+i) - v(S)),
-    v(S) = mean over background rows of predict_fn with S taken from x.
-    """
-    x = np.asarray(x, dtype=np.float64).ravel()
-    B = np.asarray(background, dtype=np.float64)
-    if B.ndim != 2 or B.shape[0] == 0:
-        raise ExplainError("background must be a nonempty matrix")
-    p = len(x)
-    if B.shape[1] != p:
-        raise ExplainError("background and x must share the feature dimension")
-    if p > max_features_guard:
-        raise ExplainError(f"{p} features exceed the exact-enumeration guard "
-                           f"({max_features_guard}); raise it explicitly if you mean it")
-
-    v = np.empty(1 << p)
-    for mask in range(1 << p):
-        hybrid = B.copy()
-        for i in range(p):
-            if mask >> i & 1:
-                hybrid[:, i] = x[i]
-        v[mask] = float(np.mean(predict_fn(hybrid)))
-
-    fact = [math.factorial(m) for m in range(p + 1)]
-    weight = [fact[s] * fact[p - s - 1] / fact[p] for s in range(p)]
-    phi = np.zeros(p)
-    for mask in range(1 << p):
-        s = bin(mask).count("1")
-        for i in range(p):
-            if not mask >> i & 1:
-                phi[i] += weight[s] * (v[mask | (1 << i)] - v[mask])
-    base = float(v[0])
-    _check_efficiency(phi, base, float(np.mean(predict_fn(x[None, :]))))
-    return phi, base
-
 
 def _check_efficiency(phi, base, fx):
     """base + sum(phi) must equal the model output fx, row by row (phi may be 1-D)."""
@@ -136,10 +96,6 @@ def _check_efficiency(phi, base, fx):
         raise ExplainError(f"efficiency axiom violated by {err[bad].max():.3e} "
                            f"on explained row {bad[0]}")
 
-
-# ---------------------------------------------------------------------------
-# exact Shapley, tree ensembles
-# ---------------------------------------------------------------------------
 
 def _leaf_paths(tree: Tree):
     """Return (value, {feature: (lo, hi]}) for every leaf with a nonempty box."""
@@ -165,23 +121,6 @@ def _leaf_paths(tree: Tree):
     return out
 
 
-def shap_tree_fast(model, x, background):
-    """Interventional Shapley for additive tree ensembles, exact and polynomial.
-
-    For one (background row b, leaf) pair, v restricted to the leaf's used
-    features U is w * [P subset of S] * [S disjoint from N] with
-    P = {j in U: x passes, b fails} and N = {j: b passes, x fails}; features
-    passing for both contribute a constant, a feature failing for both kills
-    the leaf. The Shapley values of that conjunction are
-    phi_j = w * (q-1)! r! / (q+r)!  for j in P, and
-    phi_j = -w * q! (r-1)! / (q+r)! for j in N  (q = |P|, r = |N|).
-    This is ``shap_matrix`` for one row.
-    """
-    x = np.asarray(x, dtype=np.float64).ravel()
-    phi, base = _shap_tree_rows(_tree_state(model), x[None, :], background)
-    return phi[0], base
-
-
 def _conjunction_tables(p_max: int):
     # pos_tab[q, r] = (q-1)! r! / (q+r)!   (q >= 1)
     # neg_tab[q, r] = q! (r-1)! / (q+r)!   (r >= 1)
@@ -195,8 +134,16 @@ def _conjunction_tables(p_max: int):
 
 
 def _shap_tree_rows(state, X, B):
-    """Shapley values of every row of X (m x p) and the shared base value.
+    """Interventional Shapley values of every row of X (m x p) and the shared
+    base value, exact and polynomial.
 
+    For one (background row b, leaf) pair, v restricted to the leaf's used
+    features U is w * [P subset of S] * [S disjoint from N] with
+    P = {j in U: x passes, b fails} and N = {j: b passes, x fails}; features
+    passing for both contribute a constant, a feature failing for both kills
+    the leaf. The Shapley values of that conjunction are
+    phi_j = w * (q-1)! r! / (q+r)!  for j in P, and
+    phi_j = -w * q! (r-1)! / (q+r)! for j in N  (q = |P|, r = |N|).
     Each leaf is evaluated once for all m rows: P, N and the dead pairs are
     m x n_b x |U| boolean arrays over (explained row, background row, feature).
     """

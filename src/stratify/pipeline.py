@@ -205,9 +205,7 @@ class PatternArmResult:
 @dataclass
 class IntegrationRun:
     config: RunConfig
-    kmeans: clustering.KMeansModel
     assignment: clustering.PatternAssignment
-    kselect: clustering.KSelectionReport | None
     patterns: list[PatternArmResult]
     pooled: dict  # algorithm -> EvaluationReport
 
@@ -311,7 +309,7 @@ def stage1(ds: LabeledDataset, config: RunConfig):
 def run_integration(ds: LabeledDataset, config: RunConfig,
                     stage1_result=None) -> IntegrationRun:
     """Stage 1 clustering, then an independent split/balance/fit per pattern."""
-    model, assignment, kselect = stage1_result or stage1(ds, config)
+    _, assignment, _ = stage1_result or stage1(ds, config)
     patterns = []
     for pid in range(assignment.k):
         rows = np.flatnonzero(assignment.labels == pid)
@@ -320,7 +318,7 @@ def run_integration(ds: LabeledDataset, config: RunConfig,
         patterns.append(_run_arm(ds, rows, config.hparams_for_pattern(pid), config, pid))
     pooled = {alg: pool_overall(patterns, alg, config.threshold) for alg in config.algorithms
               if all(alg in p.reports for p in patterns)}
-    return IntegrationRun(config, model, assignment, kselect, patterns, pooled)
+    return IntegrationRun(config, assignment, patterns, pooled)
 
 
 def pool_overall(patterns: list[PatternArmResult], algorithm: str,
@@ -463,9 +461,7 @@ def demographics_table(ds: LabeledDataset, assignment: clustering.PatternAssignm
                 int(np.sum((assignment.labels == 0) & vec)),
                 int(np.sum((assignment.labels == 0) & ~vec)),
                 int(np.sum((assignment.labels == 1) & vec)),
-                int(np.sum((assignment.labels == 1) & ~vec)),
-                row_labels=("pattern0", "pattern1"),
-                col_labels=(name, f"not_{name}"))
+                int(np.sum((assignment.labels == 1) & ~vec)))
             try:
                 chi2, df, pval = evaluation.chi_square_2x2(t)
                 assoc[name] = {"chi2": chi2, "df": df, "p": pval,

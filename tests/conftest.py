@@ -11,6 +11,7 @@ sys.path.insert(0, str(Path(__file__).parent))
 REPO = Path(__file__).resolve().parents[1]
 
 from stratify.dataset import Feature, FeatureSchema, LabeledDataset
+from stratify.evaluation import ConfusionMatrix
 
 
 @pytest.fixture
@@ -37,6 +38,12 @@ def random_labeled(rng, n=60, p=3, pos_rate=0.4):
     if y.sum() == len(y):
         y[0] = 0
     return make_dataset(X, y)
+
+
+def summed(cms):
+    """Cell-by-cell sum of confusion matrices."""
+    return ConfusionMatrix(*(sum(getattr(c, cell) for c in cms)
+                             for cell in ("tp", "fp", "fn", "tn")))
 
 
 def stdout_at_blas_threads(argv, threads=(1, 2)):

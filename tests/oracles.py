@@ -3,10 +3,11 @@
 Everything here is written as plain textbook loops, deliberately sharing no
 code with the package: partition costs by exhaustive enumeration, validity
 indices straight from their formulas, AUC by pair counting, Shapley values via
-the permutation definition, gradients by central differences, the
-logistic-regression optimum by scipy's L-BFGS-B. The
-exceptions are ``frozen_lloyd``, the ``frozen_*`` CSV functions and
-``bootstrap_rows``: verbatim copies of earlier implementations (Lloyd; the
+the permutation definition and by enumerating every coalition
+(``shap_bruteforce``, which borrows only the package's efficiency check),
+gradients by central differences, the logistic-regression optimum by scipy's
+L-BFGS-B. The exceptions are ``frozen_lloyd``, the ``frozen_*`` CSV functions
+and ``bootstrap_rows``: verbatim copies of earlier implementations (Lloyd; the
 cell-by-cell ingest, encoding and CSV reading and writing; the row-resampling
 bootstrap), kept so a faster rewrite can be checked bit for bit, or in law
 where its random stream differs.
@@ -298,6 +299,51 @@ def interventional_value(predict_fn, x, background):
             hybrid[:, i] = x[i]
         return float(np.mean(predict_fn(hybrid)))
     return value
+
+
+def shap_bruteforce(predict_fn, x, background, max_features_guard=20):
+    """Exact interventional Shapley attribution of predict_fn at x against a
+    background sample, by enumerating all 2^p coalitions:
+
+    phi_i = sum over S not containing i of |S|!(p-|S|-1)!/p! * (v(S+i) - v(S)),
+    v(S) = mean over background rows of predict_fn with S taken from x.
+
+    Works for any scoring function (guarded at p <= 20) and checks efficiency
+    with the package's own ``explain._check_efficiency``.
+    """
+    from stratify import explain
+    from stratify.errors import ExplainError
+
+    x = np.asarray(x, dtype=np.float64).ravel()
+    B = np.asarray(background, dtype=np.float64)
+    if B.ndim != 2 or B.shape[0] == 0:
+        raise ExplainError("background must be a nonempty matrix")
+    p = len(x)
+    if B.shape[1] != p:
+        raise ExplainError("background and x must share the feature dimension")
+    if p > max_features_guard:
+        raise ExplainError(f"{p} features exceed the exact-enumeration guard "
+                           f"({max_features_guard}); raise it explicitly if you mean it")
+
+    v = np.empty(1 << p)
+    for mask in range(1 << p):
+        hybrid = B.copy()
+        for i in range(p):
+            if mask >> i & 1:
+                hybrid[:, i] = x[i]
+        v[mask] = float(np.mean(predict_fn(hybrid)))
+
+    fact = [math.factorial(m) for m in range(p + 1)]
+    weight = [fact[s] * fact[p - s - 1] / fact[p] for s in range(p)]
+    phi = np.zeros(p)
+    for mask in range(1 << p):
+        s = bin(mask).count("1")
+        for i in range(p):
+            if not mask >> i & 1:
+                phi[i] += weight[s] * (v[mask | (1 << i)] - v[mask])
+    base = float(v[0])
+    explain._check_efficiency(phi, base, float(np.mean(predict_fn(x[None, :]))))
+    return phi, base
 
 
 def quadratic_argmin(f, lo=-1e6, hi=1e6, iters=250, h=1.0):

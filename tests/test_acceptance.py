@@ -19,6 +19,7 @@ from stratify.classifiers import boosting, linear, neural
 from stratify.classifiers.boosting import gbt_margin
 
 import oracles
+from conftest import summed
 
 EDX_CSV = os.environ.get("STRATIFY_EDX_CSV", "data/person_course.csv")
 
@@ -221,8 +222,9 @@ def test_criterion_08_shapley():
         B = X[:int(rng.integers(2, 11))]
         fn = lambda M: gbt_margin(model.state, M)
         for i in range(2):
-            fast, base_f = explain.shap_tree_fast(model, X[i], B)
-            brute, base_b = explain.shap_bruteforce(fn, X[i], B)
+            one = explain.shap_matrix(model, X[i][None], B)
+            fast, base_f = one.values[0], one.base
+            brute, base_b = oracles.shap_bruteforce(fn, X[i], B)
             worst_pair = max(worst_pair, float(np.max(np.abs(fast - brute))),
                              abs(base_f - base_b))
             fx = float(fn(X[i][None])[0])
@@ -232,7 +234,7 @@ def test_criterion_08_shapley():
         p = int(rng.integers(2, 6))
         B = rng.normal(size=(8, p))
         x = rng.normal(size=p)
-        phi, base = explain.shap_bruteforce(lambda M: M.sum(axis=1), x, B)
+        phi, base = oracles.shap_bruteforce(lambda M: M.sum(axis=1), x, B)
         worst_add = max(worst_add, float(np.max(np.abs(phi - (x - B.mean(axis=0))))))
     ok = worst_eff <= 1e-9 and worst_pair <= 1e-9 and worst_add <= 1e-9
     report(8, ok, f"efficiency {worst_eff:.1e}, fast-vs-brute {worst_pair:.1e}, "
@@ -264,14 +266,9 @@ def test_criterion_10_accounting_identities():
     separated = pipeline.separate_by_pattern(direct, s1[1])
     ok = True
     for alg in cfg.algorithms:
-        pooled_sum = evaluation.ConfusionMatrix(0, 0, 0, 0)
-        for p in integ.patterns:
-            pooled_sum = pooled_sum + p.reports[alg].cm
-        ok &= integ.pooled[alg].cm == pooled_sum
-        sep_sum = evaluation.ConfusionMatrix(0, 0, 0, 0)
-        for pid, by_alg in separated.items():
-            sep_sum = sep_sum + by_alg[alg].cm
-        ok &= sep_sum == direct.result.reports[alg].cm
+        ok &= integ.pooled[alg].cm == summed([p.reports[alg].cm for p in integ.patterns])
+        ok &= summed([by_alg[alg].cm for by_alg in separated.values()]) == \
+            direct.result.reports[alg].cm
     report(10, ok, "pooled and separated confusion matrices add up exactly")
 
 

@@ -7,7 +7,6 @@ import pytest
 
 from conftest import stdout_at_blas_threads
 from stratify import cli, pipeline
-from stratify.dataset import edx_schema
 
 EDX_HEADER = ("age,gender,country,viewed,explored,ndays_act,nevents,nplay_video,"
               "nchapters,nforum_posts,certified")
@@ -36,6 +35,16 @@ def test_synth_writes_cohort_with_true_pattern(workspace):
     assert header == EDX_HEADER + ",true_pattern"
     manifest = json.loads((workspace / "synth" / "manifest.json").read_text())
     assert "synth_cohort.csv" in manifest["artifacts"]
+
+
+def test_synth_unknown_profile_exits_2_naming_the_profiles(tmp_path, capsys):
+    for profile in ("foo", "separated", "separatedx"):
+        assert run_cli("synth", "--profile", profile, "--n", 50, "--out", tmp_path / "bad") == 2
+        err = capsys.readouterr().err
+        assert profile in err and "edx" in err and "separated<K>" in err
+    assert not (tmp_path / "bad").exists()
+    for profile in ("edx", "separated1", "separated3"):
+        assert run_cli("synth", "--profile", profile, "--n", 50, "--out", tmp_path / profile) == 0
 
 
 def test_ingest_artifacts(workspace):
@@ -223,8 +232,15 @@ def test_cluster_out_of_range_flag_exits_2_before_stage1(workspace, tmp_path, fl
     assert not (tmp_path / "out").exists()
 
 
-def test_explain_missing_pattern_exits_2(run_dir):
-    assert run_cli("explain", "--run-dir", run_dir / "a", "--pattern", 9) == 2
+@pytest.mark.parametrize("args", [("--pattern", 9), ("--pattern", 1, "--n-explain", 0),
+                                  ("--pattern", 1, "--n-explain", -5),
+                                  ("--pattern", 1, "--background", 0),
+                                  ("--pattern", 1, "--background", -1)],
+                         ids=["missing-pattern", "n-explain-0", "n-explain-negative",
+                              "background-0", "background-negative"])
+def test_explain_missing_pattern_exits_2(run_dir, args):
+    assert run_cli("explain", "--run-dir", run_dir / "a", *args) == 2
+    assert not (run_dir / "a" / "explain" / f"pattern{args[1]}").exists()
 
 
 def test_explain_run_naming_a_removed_key_exits_2(run_dir, tmp_path):

@@ -1,3 +1,4 @@
+import json
 import struct
 import tracemalloc
 
@@ -7,8 +8,8 @@ import pytest
 from stratify import synthcohort
 from stratify.dataset import (Encoder, Feature, FeatureSchema, RawTable, apply_normalizer,
                               clean, edx_schema, encode, fit_normalizer, load_dataset_csv,
-                              load_person_course, load_preprocess_sidecar,
-                              save_dataset_csv, save_preprocess_sidecar, stratified_split)
+                              load_person_course, save_dataset_csv, save_preprocess_sidecar,
+                              stratified_split)
 from stratify.errors import DataError
 
 import oracles
@@ -234,17 +235,24 @@ def test_split_rejects_bad_ratio_and_single_class():
         stratified_split(single, 0.7, 0)
 
 
+def read_encoder_sidecar(path):
+    """Rebuild the Encoder that ``save_preprocess_sidecar`` wrote to path."""
+    with open(path, "r", encoding="utf-8") as fh:
+        doc = json.load(fh)
+    assert set(doc) == {"encoder"}  # normalization is refit per split, never stored
+    return Encoder(FeatureSchema.from_dict(doc["encoder"]["schema"]), doc["encoder"]["mappings"])
+
+
 def test_sidecar_roundtrip_bit_exact(tmp_path, rng):
     raw = _raw_with_countries(list(rng.choice(["A", "B", "C"], size=30)))
     raw.columns["age"] = list(rng.normal(35, 8, 30))
     ds, enc = encode(raw, edx_schema())
-    norm = fit_normalizer(ds)
     side = tmp_path / "preprocess.json"
-    save_preprocess_sidecar(side, enc, norm)
-    enc2, norm2 = load_preprocess_sidecar(side)
-    ds2 = enc2.transform(raw)
+    save_preprocess_sidecar(side, enc)
+    ds2 = read_encoder_sidecar(side).transform(raw)
     assert ds.X.tobytes() == ds2.X.tobytes()
-    assert apply_normalizer(norm, ds).X.tobytes() == apply_normalizer(norm2, ds2).X.tobytes()
+    assert (apply_normalizer(fit_normalizer(ds), ds).X.tobytes()
+            == apply_normalizer(fit_normalizer(ds2), ds2).X.tobytes())
 
 
 def test_dataset_csv_roundtrip(tmp_path, rng):

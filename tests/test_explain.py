@@ -27,6 +27,12 @@ def node(j, thr, left, right, gain=1.0):
                 np.r_[gain, left.gain, right.gain])
 
 
+def one_row(model, x, background):
+    """The closed-form tree path on the single row x: (phi, base)."""
+    mat = ex.shap_matrix(model, np.asarray(x, dtype=np.float64)[None, :], background)
+    return mat.values[0], mat.base
+
+
 def manual_dt(tree, p):
     from stratify.classifiers.trees import DTState
     return DTState([tree], p)
@@ -64,14 +70,14 @@ def test_importance_rejects_non_tree_models(rng):
 
 def test_bruteforce_constant_model(rng):
     B = rng.normal(size=(6, 3))
-    phi, base = ex.shap_bruteforce(lambda M: np.full(len(M), 2.5), np.zeros(3), B)
+    phi, base = oracles.shap_bruteforce(lambda M: np.full(len(M), 2.5), np.zeros(3), B)
     assert np.allclose(phi, 0.0) and base == pytest.approx(2.5)
 
 
 def test_bruteforce_additive_closed_form(rng):
     B = rng.normal(size=(10, 2))
     x = np.array([2.0, -1.0])
-    phi, base = ex.shap_bruteforce(lambda M: M[:, 0] + M[:, 1], x, B)
+    phi, base = oracles.shap_bruteforce(lambda M: M[:, 0] + M[:, 1], x, B)
     assert np.allclose(phi, x - B.mean(axis=0), atol=1e-9)
     assert base == pytest.approx(B.mean(axis=0).sum())
 
@@ -84,7 +90,7 @@ def test_bruteforce_matches_permutation_definition(rng):
     def fn(M):
         return M[:, 0] * M[:, 1] - 0.5 * M[:, 2] + 0.1 * M[:, 0] ** 2
 
-    phi, base = ex.shap_bruteforce(fn, x, B)
+    phi, base = oracles.shap_bruteforce(fn, x, B)
     value = oracles.interventional_value(fn, x, B)
     want = oracles.shapley_by_permutations(value, 3)
     assert np.allclose(phi, want, atol=1e-9)
@@ -93,7 +99,7 @@ def test_bruteforce_matches_permutation_definition(rng):
 
 def test_bruteforce_guard():
     with pytest.raises(ExplainError):
-        ex.shap_bruteforce(lambda M: M[:, 0], np.zeros(25), np.zeros((3, 25)))
+        oracles.shap_bruteforce(lambda M: M[:, 0], np.zeros(25), np.zeros((3, 25)))
 
 
 def random_forest_model(rng, p, n_trees=3, depth=3, n=40):
@@ -126,8 +132,8 @@ def test_tree_fast_equals_bruteforce_random_ensembles(rng):
         fn = ensemble_fn(model)
         for row in range(3):
             x = X[row]
-            fast, base_f = ex.shap_tree_fast(model, x, B)
-            brute, base_b = ex.shap_bruteforce(fn, x, B)
+            fast, base_f = one_row(model, x, B)
+            brute, base_b = oracles.shap_bruteforce(fn, x, B)
             assert np.allclose(fast, brute, atol=1e-9)
             assert base_f == pytest.approx(base_b, abs=1e-9)
 
@@ -137,15 +143,15 @@ def test_tree_fast_depth1_exact(rng):
     model = manual_dt(t, 2)
     B = rng.normal(size=(7, 2))
     x = np.array([1.0, 0.0])
-    fast, base = ex.shap_tree_fast(model, x, B)
-    brute, base_b = ex.shap_bruteforce(lambda M: tree_predict(t, M), x, B)
+    fast, base = one_row(model, x, B)
+    brute, base_b = oracles.shap_bruteforce(lambda M: tree_predict(t, M), x, B)
     assert np.allclose(fast, brute, atol=1e-12)
     assert fast[1] == 0.0  # untouched feature is a dummy
 
 
 def test_tree_fast_leaf_only_zero_phi(rng):
     model = manual_dt(leaf(0.7), 3)
-    phi, base = ex.shap_tree_fast(model, np.zeros(3), rng.normal(size=(4, 3)))
+    phi, base = one_row(model, np.zeros(3), rng.normal(size=(4, 3)))
     assert np.all(phi == 0.0) and base == pytest.approx(0.7)
 
 
@@ -154,7 +160,7 @@ def test_efficiency_asserted_every_row(rng):
     fn = ensemble_fn(model)
     B = X[:8]
     for i in range(5):
-        phi, base = ex.shap_tree_fast(model, X[i], B)
+        phi, base = one_row(model, X[i], B)
         assert base + phi.sum() == pytest.approx(float(fn(X[i][None])[0]), abs=1e-9)
 
 
@@ -167,7 +173,7 @@ def test_symmetry_on_symmetric_tree(rng):
     model = RFState([t1, t2], 2)
     B = np.array([[1.0, 1.0], [-1.0, -1.0], [0.5, 0.5]])
     x = np.array([-0.3, -0.3])
-    phi, base = ex.shap_tree_fast(model, x, B)
+    phi, base = one_row(model, x, B)
     assert phi[0] == pytest.approx(phi[1], abs=1e-12)
 
 
@@ -184,7 +190,7 @@ def test_dummy_feature_gets_zero(rng):
         model = clf.TrainedModel("DT", {}, 0, state, {})
     else:
         state.n_features = 4
-    phi, _ = ex.shap_tree_fast(model, Xpad[0], Xpad[:6])
+    phi, _ = one_row(model, Xpad[0], Xpad[:6])
     assert phi[3] == 0.0
 
 
@@ -224,10 +230,10 @@ def test_shap_matrix_rows_equal_single_row_path(rng, alg):
         B = X[:int(rng.integers(2, 12))]
         mat = ex.shap_matrix(model, X[:9], B)
         for i in range(9):
-            phi, base = ex.shap_tree_fast(model, X[i], B)
+            phi, base = one_row(model, X[i], B)
             assert np.max(np.abs(mat.values[i] - phi)) <= 1e-12
             assert base == mat.base
-            brute, _ = ex.shap_bruteforce(ensemble_fn(model), X[i], B)
+            brute, _ = oracles.shap_bruteforce(ensemble_fn(model), X[i], B)
             assert np.allclose(mat.values[i], brute, atol=1e-9)
 
 

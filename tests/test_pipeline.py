@@ -8,7 +8,7 @@ from stratify import synthcohort as sc
 from stratify.errors import ConfigError, EvaluationError
 from stratify.evaluation import ConfusionMatrix
 
-from conftest import make_dataset
+from conftest import make_dataset, summed
 
 
 def small_cohort(seed=11, n=1200, k=2, weights=None):
@@ -43,10 +43,7 @@ def test_pooled_confusion_is_sum_of_patterns():
     cfg = quick_config()
     run = pl.run_integration(sample.dataset, cfg)
     for alg in cfg.algorithms:
-        total = ConfusionMatrix(0, 0, 0, 0)
-        for p in run.patterns:
-            total = total + p.reports[alg].cm
-        assert run.pooled[alg].cm == total
+        assert run.pooled[alg].cm == summed([p.reports[alg].cm for p in run.patterns])
 
 
 def test_pool_overall_example_numbers():
@@ -97,10 +94,8 @@ def test_separated_confusions_sum_to_direct():
     direct = pl.run_direct(sample.dataset, cfg)
     separated = pl.separate_by_pattern(direct, s1[1])
     for alg in cfg.algorithms:
-        total = ConfusionMatrix(0, 0, 0, 0)
-        for pid, by_alg in separated.items():
-            total = total + by_alg[alg].cm
-        assert total == direct.result.reports[alg].cm
+        assert summed([by_alg[alg].cm for by_alg in separated.values()]) == \
+            direct.result.reports[alg].cm
 
 
 def test_separate_single_group_equals_direct():

@@ -68,7 +68,7 @@ def test_two_tight_far_clusters_silhouette_near_one(rng):
     b = rng.normal(size=(15, 2)) * 0.5 + 40.0
     X = np.vstack([a, b])
     labels = np.array([0] * 15 + [1] * 15)
-    assert cl.silhouette_index(X, labels) >= 0.95
+    assert cl.validity_index(X, labels, "silhouette") >= 0.95
 
 
 def test_tight_clusters_db_small_dunn_large(rng):
@@ -88,7 +88,7 @@ def test_tight_clusters_db_small_dunn_large(rng):
 def test_singleton_cluster_silhouette_zero_fallback():
     X = np.array([[0.0, 0.0], [0.1, 0.0], [5.0, 5.0]])
     labels = np.array([0, 0, 1])
-    got = cl.silhouette_index(X, labels)
+    got = cl.validity_index(X, labels, "silhouette")
     want = oracles.silhouette(X, labels.tolist())  # singleton contributes 0
     assert got == pytest.approx(want, abs=1e-12)
 
