@@ -1,14 +1,17 @@
 """Command-line entry point.
 
 Commands: ``synth`` (generate a cohort), ``ingest`` (load/clean/encode a raw
-CSV), ``cluster`` (stage-1 K selection + pattern labels), ``run`` (both
-experimental arms + comparison), ``explain`` (importance + Shapley exports for
-one pattern of a finished run). Every command records a manifest with
-per-artifact checksums, and all randomness comes from one seed (``explain``
-takes the run's), so reruns are byte identical.
+CSV), ``cluster`` (``pipeline.stage1``: K selection + pattern labels), ``run``
+(stage 1, both experimental arms + comparison), ``explain`` (the importance and
+Shapley exports of ``pipeline.explain_pattern`` for one pattern of a finished
+run). The commands read inputs and write artifacts; the work is done in
+``pipeline``. Every command records a manifest with per-artifact checksums, and
+all randomness comes from one seed (``explain`` takes the run's), so reruns are
+byte identical.
 
 Exit codes: 0 ok, 1 internal error, 2 input/validation error, 3 ``run``
-completed but raised degenerate-statistics flags (e.g. a single-class pattern).
+completed but raised degenerate-statistics flags (e.g. a single-class pattern,
+or one whose split leaves no test row).
 """
 
 from __future__ import annotations
@@ -27,7 +30,6 @@ from . import __version__, classifiers as clf, explain as explain_mod
 from . import dataset as ds_mod
 from . import pipeline, reports, synthcohort
 from .errors import ConfigError, DataError, StratifyError
-from .rng import derive_rng, derive_seed
 
 EXIT_OK, EXIT_INTERNAL, EXIT_INVALID, EXIT_DEGENERATE = 0, 1, 2, 3
 
@@ -88,11 +90,10 @@ def cmd_cluster(args) -> int:
     cfg = pipeline.RunConfig(seed=args.seed, k_range=(args.k_min, args.k_max),
                              k_fixed=args.k_fixed, kmeans_restarts=args.restarts)
     dataset, _ = _load_dataset(args)
-    _, assignment, kselect = pipeline.stage1(dataset, cfg)
+    kselect, assignment = pipeline.stage1(dataset, cfg)
     rundir = reports.RunDirectory(args.out)
-    reports.write_patterns_csv(rundir, assignment)
+    reports.write_stage1(rundir, kselect, assignment)
     if kselect is not None:
-        reports.write_kselect_json(rundir, kselect)
         print(f"selected K={kselect.winner} (tally {kselect.tally})")
     else:
         print(f"fixed K={args.k_fixed}")
@@ -114,14 +115,11 @@ def cmd_run(args) -> int:
     cfg = _build_config(args)
     dataset, schema = _load_dataset(args)
     # stage 1 first: a K range the data cannot hold fails before anything is written
-    stage1_result = pipeline.stage1(dataset, cfg)
-    _, assignment, kselect = stage1_result
+    kselect, assignment = pipeline.stage1(dataset, cfg)
     rundir = reports.RunDirectory(args.out)
     ds_mod.save_dataset_csv(rundir.path("data.csv"), dataset)
     reports.write_json(rundir.path("schema.json"), schema.to_dict())
-    reports.write_patterns_csv(rundir, assignment)
-    if kselect is not None:
-        reports.write_kselect_json(rundir, kselect)
+    reports.write_stage1(rundir, kselect, assignment)
     demo = pipeline.demographics_table(dataset, assignment)
     reports.write_demographics(rundir, demo)
 
@@ -129,7 +127,7 @@ def cmd_run(args) -> int:
     flags = []
     integ = direct = None
     if args.arm in ("both", "integration"):
-        integ = pipeline.run_integration(dataset, cfg, stage1_result)
+        integ = pipeline.run_integration(dataset, cfg, assignment)
         reports.write_integration(rundir, integ)
         flags.extend(integ.flags)
         for p in integ.patterns:
@@ -181,39 +179,14 @@ def cmd_explain(args) -> int:
     entry = next((p for p in state["patterns"] if p["id"] == args.pattern), None)
     if entry is None:
         raise DataError(f"run has no pattern {args.pattern}; rerun with --arm integration|both")
-
-    behavior = [dataset.feature_names.index(n) for n in schema.role_names("behavior")]
-    names = [dataset.feature_names[j] for j in behavior]
-    train_rows = np.array(entry["train_rows"])
-    train = dataset.take(train_rows)
-    norm = ds_mod.fit_normalizer(train)
-    X_train_norm = ds_mod.apply_normalizer(norm, train).X[:, behavior]
-    Xb, yb = X_train_norm, train.y
-    if cfg.smote_enabled:
-        from .resampling import smote
-        res = smote(Xb, yb, cfg.smote_k, cfg.smote_ratio,
-                    derive_seed(cfg.seed, "explain_smote", args.pattern))
-        Xb, yb = res.X, res.y
-    gbt_hp = cfg.hparams_for_pattern(args.pattern).get("GBT")
-    model = clf.fit("GBT", Xb, yb, gbt_hp,
-                    seed=derive_seed(cfg.seed, "explain_fit", args.pattern))
-
-    # background and explained rows are real training rows, never synthetic ones
-    rng = derive_rng(cfg.seed, "explain_sample", args.pattern)
-    n_train = len(train_rows)
-    background = X_train_norm[np.sort(rng.choice(n_train, min(args.background, n_train),
-                                                 replace=False))]
-    X_explain = X_train_norm[np.sort(rng.choice(n_train, min(args.n_explain, n_train),
-                                                replace=False))]
-
-    ranking = explain_mod.split_gain_importance(model, names)
-    matrix = explain_mod.shap_matrix(model, X_explain, background, names)
+    ranking, matrix = pipeline.explain_pattern(dataset, np.array(entry["train_rows"]), cfg,
+                                               args.pattern, args.n_explain, args.background)
     out = reports.RunDirectory(os.path.join(rundir_path, f"explain/pattern{args.pattern}"))
     reports.write_importance_csv(out.path("importance.csv"), ranking)
     reports.write_shap_csv(out.path("shap_values.csv"), explain_mod.beeswarm_export(matrix))
     out.write_manifest("explain", {"pattern": args.pattern, "n_explain": args.n_explain,
                                    "background": args.background}, cfg.seed, started)
-    top = [names[j] for j in ranking.order[:3]]
+    top = [ranking.feature_names[j] for j in ranking.order[:3]]
     print(f"pattern {args.pattern}: top features by split gain: {', '.join(top)}")
     return EXIT_OK
 

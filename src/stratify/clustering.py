@@ -4,8 +4,10 @@
 restarts, keeping the restart with the lowest inertia. Each Lloyd step builds
 one centroid-major array of ``sq_dists``; ``_nearest`` takes the per-row minimum
 (whose sum is the cost) and the lowest-index nearest centroid from it in a few
-passes over contiguous rows, and ``assign_patterns`` labels rows with the same
-helper. The centroid sums read feature columns copied once per Lloyd run.
+passes over contiguous rows. The centroid sums read feature columns copied once
+per Lloyd run. Every exit of ``_lloyd`` labels the rows from the centroids it
+returns, so a model's ``fit_labels`` are its nearest-centroid labels, and
+``sort_patterns_by_size`` turns them into patterns without another pass.
 
 ``select_k`` fits a range of K values and lets ten cluster validity indices
 vote; the winner is the K chosen most often, ties broken toward smaller K.
@@ -60,8 +62,7 @@ class KMeansModel:
     k: int
     inertia: float
     n_iter: int
-    seed: int
-    fit_labels: np.ndarray
+    fit_labels: np.ndarray  # nearest-centroid labels of the returned centroids
 
     def __post_init__(self):
         if self.k < 1 or self.centroids.shape[0] != self.k:
@@ -188,7 +189,7 @@ def kmeans_fit(X, k: int, seed: int, n_restarts: int = 10, max_iter: int = 300,
     if k == 1:
         centroid = X.mean(axis=0, keepdims=True)
         inertia = float(((X - centroid) ** 2).sum())
-        return KMeansModel(centroid, 1, inertia, 1, seed, np.zeros(n, dtype=np.int64))
+        return KMeansModel(centroid, 1, inertia, 1, np.zeros(n, dtype=np.int64))
     # anchor the first restart at the most central point: a random peripheral
     # first centroid biases greedy seeding toward re-centering, which can bury
     # small far-away clusters behind splits of the dominant cloud. Odd restarts
@@ -204,29 +205,16 @@ def kmeans_fit(X, k: int, seed: int, n_restarts: int = 10, max_iter: int = 300,
         if best is None or cost < best[2]:
             best = (labels, centroids, cost, iters)
     labels, centroids, cost, iters = best
-    return KMeansModel(centroids, k, cost, iters, seed, labels.astype(np.int64))
+    return KMeansModel(centroids, k, cost, iters, labels.astype(np.int64))
 
 
-def assign_patterns(model: KMeansModel, X) -> PatternAssignment:
-    """Label each row by its nearest centroid (ties to the lowest cluster index)."""
-    X = _check_matrix(X)
-    if X.shape[1] != model.centroids.shape[1]:
-        raise ClusteringError("feature dimension does not match the fitted centroids")
-    labels, _ = _nearest(sq_dists(model.centroids, X))
-    sizes = np.bincount(labels, minlength=model.k)
-    return PatternAssignment(labels, sizes)
-
-
-def sort_patterns_by_size(model: KMeansModel, assignment: PatternAssignment
-                          ) -> tuple[KMeansModel, PatternAssignment]:
-    """Relabel so pattern 0 is the largest cluster (ties keep original order)."""
-    order = np.lexsort((np.arange(assignment.k), -assignment.sizes))
-    perm = np.empty(assignment.k, dtype=np.int64)
-    perm[order] = np.arange(assignment.k)
-    model2 = KMeansModel(model.centroids[order].copy(), model.k, model.inertia,
-                         model.n_iter, model.seed, perm[model.fit_labels])
-    labels = perm[assignment.labels]
-    return model2, PatternAssignment(labels, assignment.sizes[order].copy())
+def sort_patterns_by_size(labels: np.ndarray, k: int) -> PatternAssignment:
+    """Patterns from K-means labels: pattern 0 is the largest cluster (ties keep cluster order)."""
+    sizes = np.bincount(labels, minlength=k)
+    order = np.lexsort((np.arange(k), -sizes))
+    perm = np.empty(k, dtype=np.int64)
+    perm[order] = np.arange(k)
+    return PatternAssignment(perm[labels], sizes[order])
 
 
 # ---------------------------------------------------------------------------

@@ -388,18 +388,16 @@ class SplitIndices:
 def stratified_split(ds: LabeledDataset, ratio: float, seed: int) -> SplitIndices:
     """Class-stratified train/test split, deterministic per seed.
 
-    Each class contributes round(ratio * n_class) training rows (clamped so a
-    class with >= 2 rows appears on both sides), which keeps per-class train
-    fractions within one sample of `ratio`.
+    Each class present contributes round(ratio * n_class) training rows
+    (clamped so a class with >= 2 rows appears on both sides), which keeps
+    per-class train fractions within one sample of `ratio`. A one-class set
+    splits the same way. A side comes out empty only when every class has one row.
     """
     if not 0.0 < ratio < 1.0:
         raise DataError("split ratio must be in (0, 1); an empty train or test set is useless")
-    classes, counts = np.unique(ds.y, return_counts=True)
-    if len(classes) < 2:
-        raise DataError("stratified split requires both classes present")
     rng = derive_rng(seed, "stratified_split")
     train_parts, test_parts = [], []
-    for cls in classes:
+    for cls in np.unique(ds.y):
         idx = np.flatnonzero(ds.y == cls)
         rng.shuffle(idx)
         n_train = int(round(ratio * len(idx)))
@@ -409,8 +407,6 @@ def stratified_split(ds: LabeledDataset, ratio: float, seed: int) -> SplitIndice
         test_parts.append(idx[n_train:])
     train = np.sort(np.concatenate(train_parts))
     test = np.sort(np.concatenate(test_parts))
-    if len(test) == 0:
-        raise DataError("empty test set")
     return SplitIndices(train, test)
 
 

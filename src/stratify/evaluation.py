@@ -163,7 +163,6 @@ class RateDistributions:
 
     fpr_samples: np.ndarray
     tpr_samples: np.ndarray
-    summary: dict
 
 
 def bootstrap_rate_distributions(y_true, y_pred, n_boot: int, seed: int,
@@ -194,11 +193,7 @@ def bootstrap_rate_distributions(y_true, y_pred, n_boot: int, seed: int,
     else:
         raise EvaluationError("bootstrap retry bound exceeded: a class is pathologically rare")
     tp, fn, fp, tn = cells.T
-    fprs, tprs = fp / (fp + tn), tp / (tp + fn)
-    summary = {name: {"median": float(np.median(r)), "q1": float(np.percentile(r, 25)),
-                      "q3": float(np.percentile(r, 75))}
-               for name, r in (("fpr", fprs), ("tpr", tprs))}
-    return RateDistributions(fprs, tprs, summary)
+    return RateDistributions(fp / (fp + tn), tp / (tp + fn))
 
 
 @dataclass(frozen=True)

@@ -1,11 +1,13 @@
 """Orchestration of the two experimental arms.
 
-The per-pattern arm (``run_integration``) clusters first, then splits, balances
-and fits within each pattern; the pooled arm (``run_direct``) does one split
-over everything. Both arms share one worker (``_run_arm``) and one seed-stream
+``stage1`` clusters the normalized rows and returns the K vote and the pattern
+assignment. The per-pattern arm (``run_integration``) then splits, balances and
+fits within each pattern; the pooled arm (``run_direct``) does one split over
+everything. Both arms share one worker (``_run_arm``) and one seed-stream
 derivation, so a one-pattern integration run is byte-identical to the direct
 run with the same hyperparameters. ``pool_overall``, ``separate_by_pattern``
-and ``compare`` produce the cross-arm accounting.
+and ``compare`` produce the cross-arm accounting. ``explain_pattern`` refits a
+pattern's GBT with the arm's balancing step (``_balance``) and explains it.
 
 Default hyperparameters carry the benchmark edX study configuration: one set
 per discovered pattern (pattern 0 is always the largest cluster) and one for
@@ -20,12 +22,12 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from . import classifiers as clf
-from . import clustering, evaluation
+from . import clustering, evaluation, explain
 from .dataset import LabeledDataset, apply_normalizer, fit_normalizer, stratified_split
-from .errors import ConfigError, DataError, EvaluationError, ResamplingError, TrainingError
+from .errors import ConfigError, EvaluationError, ResamplingError, TrainingError
 from .evaluation import ConfusionMatrix, MetricSet, RateDistributions, RocCurve
 from .resampling import smote
-from .rng import derive_seed
+from .rng import derive_rng, derive_seed
 
 AGE_CUTOFF = 35.0
 
@@ -199,7 +201,6 @@ class PatternArmResult:
     reports: dict             # algorithm -> EvaluationReport
     y_test: np.ndarray
     flags: tuple[str, ...] = ()
-    n_synthetic: int = 0
 
 
 @dataclass
@@ -227,45 +228,39 @@ class DirectRun:
         return self.result.flags
 
 
-def _plain_split(n_rows: int, ratio: float, seed: int):
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
-    idx = rng.permutation(n_rows)
-    n_train = max(1, min(int(round(ratio * n_rows)), n_rows - 1))
-    return np.sort(idx[:n_train]), np.sort(idx[n_train:])
+def _balance(X, y, config: RunConfig, seed: int):
+    """SMOTE per the config: the training matrix, its labels and the flags raised."""
+    if not config.smote_enabled:
+        return X, y, ()
+    try:
+        res = smote(X, y, config.smote_k, config.smote_ratio, seed)
+    except ResamplingError:
+        return X, y, ("smote_skipped_single_class",)
+    return res.X, res.y, ("smote_duplication_fallback",) if res.duplication_fallback else ()
 
 
 def _run_arm(ds: LabeledDataset, rows: np.ndarray, hparams: dict, config: RunConfig,
              pattern_id: int) -> PatternArmResult:
-    """Split, balance, fit and evaluate one row subset. Shared by both arms."""
-    flags = []
+    """Split, balance, fit and evaluate one row subset. Shared by both arms.
+
+    A one-class subset splits like any other and is flagged; a subset whose
+    split leaves no test row is flagged and fits nothing."""
     sub = ds.take(rows)
-    try:
-        split = stratified_split(sub, config.split_ratio,
-                                 derive_seed(config.seed, "split", pattern_id))
-        tr_local, te_local = split.train, split.test
-    except DataError:
-        # a single-class pattern cannot stratify; fall back and flag it
-        flags.append("single_class_pattern")
-        tr_local, te_local = _plain_split(sub.n, config.split_ratio,
-                                          derive_seed(config.seed, "split", pattern_id))
+    flags = ["single_class_pattern"] if sub.y.min() == sub.y.max() else []
+    split = stratified_split(sub, config.split_ratio, derive_seed(config.seed, "split", pattern_id))
+    tr_local, te_local = split.train, split.test
     train, test = sub.take(tr_local), sub.take(te_local)
+    models, scores, reports = {}, {}, {}
+    if test.n == 0:
+        flags.append("empty_test_partition")
+        return PatternArmResult(pattern_id, rows, rows[tr_local], rows[te_local],
+                                models, scores, reports, test.y, tuple(flags))
     norm = fit_normalizer(train)
     train_n, test_n = apply_normalizer(norm, train), apply_normalizer(norm, test)
+    X_fit, y_fit, smote_flags = _balance(train_n.X, train_n.y, config,
+                                         derive_seed(config.seed, "smote", pattern_id))
+    flags.extend(smote_flags)
 
-    X_fit, y_fit = train_n.X, train_n.y
-    n_synth = 0
-    if config.smote_enabled:
-        try:
-            res = smote(X_fit, y_fit, config.smote_k, config.smote_ratio,
-                        derive_seed(config.seed, "smote", pattern_id))
-            X_fit, y_fit = res.X, res.y
-            n_synth = res.n_synthetic
-            if res.duplication_fallback:
-                flags.append("smote_duplication_fallback")
-        except ResamplingError:
-            flags.append("smote_skipped_single_class")
-
-    models, scores, reports = {}, {}, {}
     for alg in config.algorithms:
         try:
             model = clf.fit(alg, X_fit, y_fit, hparams.get(alg),
@@ -283,41 +278,44 @@ def _run_arm(ds: LabeledDataset, rows: np.ndarray, hparams: dict, config: RunCon
         if "single_class_test" in reports[alg].flags and "single_class_test" not in flags:
             flags.append("single_class_test")
     return PatternArmResult(pattern_id, rows, rows[tr_local], rows[te_local],
-                            models, scores, reports, test.y, tuple(flags), n_synth)
+                            models, scores, reports, test.y, tuple(flags))
 
 
 def stage1(ds: LabeledDataset, config: RunConfig):
-    """Cluster the full normalized feature matrix; pattern 0 is the largest cluster."""
+    """Cluster the full normalized feature matrix; returns (kselect, assignment).
+
+    ``kselect`` is the K vote, None when K is fixed; in the assignment, pattern 0
+    is the largest cluster."""
     norm = fit_normalizer(ds)
     Xn = apply_normalizer(norm, ds).X
+    seed = derive_seed(config.seed, "stage1")
+    lloyd = (config.kmeans_restarts, config.kmeans_max_iter, config.kmeans_tol)
     kselect = None
     if config.k_fixed is not None:
-        model = clustering.kmeans_fit(Xn, config.k_fixed, derive_seed(config.seed, "stage1"),
-                                      config.kmeans_restarts, config.kmeans_max_iter,
-                                      config.kmeans_tol)
+        model = clustering.kmeans_fit(Xn, config.k_fixed, seed, *lloyd)
     else:
-        kselect, models = clustering.select_k(
-            Xn, config.k_range, config.index_set, derive_seed(config.seed, "stage1"),
-            config.kmeans_restarts, config.kmeans_max_iter, config.kmeans_tol,
-            config.index_sample_cap)
+        kselect, models = clustering.select_k(Xn, config.k_range, config.index_set, seed,
+                                              *lloyd, config.index_sample_cap)
         model = models[kselect.winner]
-    assignment = clustering.assign_patterns(model, Xn)
-    model, assignment = clustering.sort_patterns_by_size(model, assignment)
-    return model, assignment, kselect
+    return kselect, clustering.sort_patterns_by_size(model.fit_labels, model.k)
 
 
 def run_integration(ds: LabeledDataset, config: RunConfig,
-                    stage1_result=None) -> IntegrationRun:
-    """Stage 1 clustering, then an independent split/balance/fit per pattern."""
-    _, assignment, _ = stage1_result or stage1(ds, config)
+                    assignment: clustering.PatternAssignment | None = None) -> IntegrationRun:
+    """Stage 1 clustering (unless its assignment is given), then an independent
+    split/balance/fit per pattern. The pooled reports cover the patterns with
+    test rows."""
+    if assignment is None:
+        assignment = stage1(ds, config)[1]
     patterns = []
     for pid in range(assignment.k):
         rows = np.flatnonzero(assignment.labels == pid)
         if len(rows) == 0:
             continue
         patterns.append(_run_arm(ds, rows, config.hparams_for_pattern(pid), config, pid))
-    pooled = {alg: pool_overall(patterns, alg, config.threshold) for alg in config.algorithms
-              if all(alg in p.reports for p in patterns)}
+    tested = [p for p in patterns if len(p.test_rows)]
+    pooled = {alg: pool_overall(tested, alg, config.threshold) for alg in config.algorithms
+              if all(alg in p.reports for p in tested)}
     return IntegrationRun(config, assignment, patterns, pooled)
 
 
@@ -469,3 +467,29 @@ def demographics_table(ds: LabeledDataset, assignment: clustering.PatternAssignm
             except EvaluationError:
                 assoc[name] = {"chi2": None, "df": 1, "p": None, "cramers_v": None}
     return {"rows": rows, "association": assoc}
+
+
+def explain_pattern(ds: LabeledDataset, train_rows: np.ndarray, config: RunConfig,
+                    pattern_id: int, n_explain: int, n_background: int):
+    """Refit one pattern's GBT on its behavior features and explain it.
+
+    The retrain follows the arm: min-max scaling fitted on the pattern's
+    training rows, then ``_balance``; SMOTE, the fit and the row draws take
+    their own ``explain_*`` seed streams. The background and explained rows are
+    real training rows, never synthetic ones. Returns the split-gain ranking and
+    the Shapley matrix.
+    """
+    names = ds.schema.role_names("behavior")
+    behavior = [ds.feature_names.index(n) for n in names]
+    train = ds.take(train_rows)
+    X = apply_normalizer(fit_normalizer(train), train).X[:, behavior]
+    X_fit, y_fit, _ = _balance(X, train.y, config,
+                               derive_seed(config.seed, "explain_smote", pattern_id))
+    model = clf.fit("GBT", X_fit, y_fit, config.hparams_for_pattern(pattern_id).get("GBT"),
+                    seed=derive_seed(config.seed, "explain_fit", pattern_id))
+    rng = derive_rng(config.seed, "explain_sample", pattern_id)
+    n = len(train_rows)
+    background = X[np.sort(rng.choice(n, min(n_background, n), replace=False))]
+    X_explain = X[np.sort(rng.choice(n, min(n_explain, n), replace=False))]
+    return (explain.split_gain_importance(model, names),
+            explain.shap_matrix(model, X_explain, background, names))

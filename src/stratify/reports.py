@@ -73,13 +73,12 @@ class RunDirectory:
         return out
 
 
-def write_patterns_csv(rundir: RunDirectory, assignment, rel="patterns.csv") -> None:
-    write_csv(rundir.path(rel), ["row", "pattern"],
+def write_stage1(rundir: RunDirectory, kselect, assignment) -> None:
+    """``patterns.csv``, and ``kselect.json`` when K was voted on."""
+    write_csv(rundir.path("patterns.csv"), ["row", "pattern"],
               [(i, int(p)) for i, p in enumerate(assignment.labels)])
-
-
-def write_kselect_json(rundir: RunDirectory, report, rel="kselect.json") -> None:
-    write_json(rundir.path(rel), report.to_dict())
+    if kselect is not None:
+        write_json(rundir.path("kselect.json"), kselect.to_dict())
 
 
 def write_evaluation(rundir: RunDirectory, base: str, report) -> None:

@@ -33,7 +33,6 @@ class ResampledTrainingSet:
     parent_idx: np.ndarray         # row index into X of each synthetic row's parent
     neighbor_idx: np.ndarray       # row index into X of the interpolation partner
     interpolation: np.ndarray      # u drawn per synthetic row
-    seed: int
     duplication_fallback: bool = False
 
     @property
@@ -67,7 +66,7 @@ def smote(X, y, k_neighbors: int = 5, target_ratio: float = 1.0,
     empty = np.array([], dtype=np.int64)
     if n_new == 0:
         return ResampledTrainingSet(X.copy(), y.copy(), np.zeros(len(y), bool),
-                                    empty, empty, np.array([]), seed)
+                                    empty, empty, np.array([]))
 
     rng = derive_rng(seed, "smote")
     min_rows = np.flatnonzero(y == minority_label)
@@ -76,7 +75,7 @@ def smote(X, y, k_neighbors: int = 5, target_ratio: float = 1.0,
         parent = np.full(n_new, min_rows[0], dtype=np.int64)
         u = np.zeros(n_new)
         X_new = np.repeat(X[min_rows], n_new, axis=0)
-        return _assemble(X, y, X_new, minority_label, parent, parent, u, seed, fallback=True)
+        return _assemble(X, y, X_new, minority_label, parent, parent, u, fallback=True)
 
     k = min(k_neighbors, n_min - 1)
     Xm = X[min_rows]
@@ -89,13 +88,13 @@ def smote(X, y, k_neighbors: int = 5, target_ratio: float = 1.0,
     parent = min_rows[parent_local]
     neighbor = min_rows[neighbor_local]
     X_new = X[parent] + u[:, None] * (X[neighbor] - X[parent])
-    return _assemble(X, y, X_new, minority_label, parent, neighbor, u, seed, fallback=False)
+    return _assemble(X, y, X_new, minority_label, parent, neighbor, u, fallback=False)
 
 
-def _assemble(X, y, X_new, minority_label, parent, neighbor, u, seed, fallback):
+def _assemble(X, y, X_new, minority_label, parent, neighbor, u, fallback):
     n_new = len(X_new)
     X_out = np.vstack([X, X_new])
     y_out = np.concatenate([y, np.full(n_new, minority_label, dtype=y.dtype)])
     synth = np.concatenate([np.zeros(len(y), bool), np.ones(n_new, bool)])
-    return ResampledTrainingSet(X_out, y_out, synth, parent, neighbor, u, seed,
+    return ResampledTrainingSet(X_out, y_out, synth, parent, neighbor, u,
                                 duplication_fallback=fallback)

@@ -261,7 +261,7 @@ def test_criterion_10_accounting_identities():
     cfg = pipeline.RunConfig(seed=10, k_fixed=2, algorithms=("GBT", "DT"), bootstrap_b=0,
                              kmeans_restarts=3)
     s1 = pipeline.stage1(sample.dataset, cfg)
-    integ = pipeline.run_integration(sample.dataset, cfg, s1)
+    integ = pipeline.run_integration(sample.dataset, cfg, s1[1])
     direct = pipeline.run_direct(sample.dataset, cfg)
     separated = pipeline.separate_by_pattern(direct, s1[1])
     ok = True
@@ -292,11 +292,11 @@ def benchmark_runs():
                                  kmeans_restarts=2, kmeans_max_iter=50,
                                  index_sample_cap=1024)
         s1 = pipeline.stage1(sample.dataset, cfg)
-        integ = pipeline.run_integration(sample.dataset, cfg, s1)
+        integ = pipeline.run_integration(sample.dataset, cfg, s1[1])
         direct = pipeline.run_direct(sample.dataset, cfg)
         results.append({
             "seed": seed,
-            "winner": s1[2].winner,
+            "winner": s1[0].winner,
             "share1": float((tp == 1).mean()),
             "cert0": float(sample.dataset.y[tp == 0].mean()),
             "cert1": float(sample.dataset.y[tp == 1].mean()),
@@ -330,7 +330,7 @@ def test_criterion_13_real_dataset():
     ds, _ = dataset.encode(cleaned, schema)
     cfg = pipeline.RunConfig(seed=0, algorithms=("GBT",), bootstrap_b=0)
     s1 = pipeline.stage1(ds, cfg)
-    kselect, assignment = s1[2], s1[1]
+    kselect, assignment = s1
     assert kselect.winner == 2
     assert kselect.tally.get(2, 0) > sum(c for k, c in kselect.tally.items() if k != 2)
     share0 = assignment.sizes[0] / ds.n
@@ -339,7 +339,7 @@ def test_criterion_13_real_dataset():
     cert1 = float(ds.y[assignment.labels == 1].mean())
     assert abs(cert0 - 0.0168) <= 0.01
     assert abs(cert1 - 0.5324) <= 0.08
-    integ = pipeline.run_integration(ds, cfg, s1)
+    integ = pipeline.run_integration(ds, cfg, assignment)
     direct = pipeline.run_direct(ds, cfg)
     by_id = {p.pattern_id: p for p in integ.patterns}
     assert by_id[0].reports["GBT"].positive.accuracy >= 0.95

@@ -146,7 +146,7 @@ def test_reference_run_digest_does_not_depend_on_the_blas_thread_count():
     # SVC's Gram matrix, the neighbor search and the pair distances of the K
     # vote once changed bits between 1 and 2 OpenBLAS threads
     one, two = stdout_at_blas_threads(["tools/reference_run.py"])
-    assert one.startswith("156 artifacts") and one == two
+    assert one.startswith("179 artifacts") and one == two
 
 
 def test_config_seed_applies_without_seed_flag(workspace, run_dir, tmp_path):
@@ -301,6 +301,32 @@ def test_degenerate_pattern_run_exits_3(tmp_path):
     code = run_cli("run", "--data", ingest / "clean.csv", "--config", cfg,
                    "--out", tmp_path / "runout")
     assert code == 3
+
+
+def test_one_row_pattern_run_exits_3_flagging_empty_test_partition(tmp_path, capsys):
+    # a far-off copy of one row is a pattern of its own, and its split leaves no test row
+    synth, ingest = tmp_path / "synth", tmp_path / "ingest"
+    assert run_cli("synth", "--profile", "separated2", "--n", 300, "--seed", 1,
+                   "--out", synth) == 0
+    assert run_cli("ingest", "--data", synth / "synth_cohort.csv", "--out", ingest) == 0
+    clean = ingest / "clean.csv"
+    lines = clean.read_text().splitlines()
+    header, row = lines[0].split(","), lines[1].split(",")
+    for name, value in (("ndays_act", 900), ("nevents", 9000), ("nplay_video", 9000),
+                        ("nchapters", 900), ("nforum_posts", 900)):
+        row[header.index(name)] = str(value)
+    clean.write_text("\n".join([*lines, ",".join(row)]) + "\n")
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"algorithms": ["DT", "GBT"], "bootstrap_b": 0}))
+    out = tmp_path / "run"
+    capsys.readouterr()
+    assert run_cli("run", "--data", clean, "--config", cfg, "--k-fixed", 3, "--out", out) == 3
+    assert "pattern2:empty_test_partition" in capsys.readouterr().err
+    state = json.loads((out / "run_state.json").read_text())
+    assert [p["test_rows"] for p in state["patterns"] if p["id"] == 2] == [[]]
+    assert not (out / "integration" / "pattern2").exists()
+    assert (out / "integration" / "pooled" / "GBT" / "metrics.json").exists()
+    assert (out / "manifest.json").exists()
 
 
 def test_smoke_run_all_algorithms_under_60s(tmp_path):

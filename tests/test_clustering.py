@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from stratify import clustering as cl
+from stratify.classifiers.neighbors import sq_dists
 from stratify.errors import ClusteringError
 
 import oracles
@@ -104,39 +105,61 @@ def test_kmeans_small_instances_reach_exhaustive_optimum(rng):
         assert fit_cost == best
 
 
+def nearest_labels(centroids, X):
+    return cl._nearest(sq_dists(centroids, X))[0]
+
+
+def _lloyd_exit_fits(X):
+    """Fits of X by each way out of _lloyd, keyed by it: with tol 0 only the label
+    fixpoint ends the loop before max_iter, and with tol inf the first shift does."""
+    fit = dict(seed=1, n_restarts=2)
+    return {"fixpoint": cl.kmeans_fit(X, 5, tol=0.0, **fit),
+            "shift": cl.kmeans_fit(X, 5, tol=np.inf, **fit),
+            "cap1": cl.kmeans_fit(X, 5, max_iter=1, tol=0.0, **fit),
+            "cap2": cl.kmeans_fit(X, 5, max_iter=2, tol=0.0, **fit),
+            "k1": cl.kmeans_fit(X, 1, **fit)}
+
+
+def test_fit_labels_are_nearest_centroid_labels_on_every_lloyd_exit(rng):
+    # patterns are built from fit_labels with no pass of their own over the
+    # returned centroids, so every way out of _lloyd must leave the two equal
+    X = rng.normal(size=(300, 4))
+    fits = _lloyd_exit_fits(X)
+    assert 2 < fits["fixpoint"].n_iter < 300
+    assert fits["shift"].n_iter == 1
+    assert (fits["cap1"].n_iter, fits["cap2"].n_iter) == (1, 2)
+    grid = np.array([(a, b) for a in range(-3, 6) for b in range(-2, 3)], dtype=np.float64)
+    dups = np.vstack([X[:40], X[:40], X[:5]])
+    for data, by_exit in ((X, fits), (grid, _lloyd_exit_fits(grid)),
+                          (dups, _lloyd_exit_fits(dups))):
+        for m in by_exit.values():
+            assert np.array_equal(m.fit_labels, nearest_labels(m.centroids, data))
+
+
 def test_assign_patterns_matches_fit_and_breaks_ties_low():
     X = np.array([[0.0], [1.0], [10.0], [11.0]])
     m = cl.kmeans_fit(X, 2, seed=3)
-    a = cl.assign_patterns(m, X)
-    assert np.array_equal(a.labels, m.fit_labels)
-    assert a.sizes.sum() == 4
+    labels = nearest_labels(m.centroids, X)
+    assert np.array_equal(labels, m.fit_labels)
+    assert len(labels) == 4
     # a point equidistant from both centroids goes to the lower cluster index
     mid = (m.centroids[0] + m.centroids[1]) / 2.0
-    amid = cl.assign_patterns(m, mid[None, :])
-    assert amid.labels[0] == 0
+    assert nearest_labels(m.centroids, mid[None, :])[0] == 0
 
 
 def test_assign_point_on_centroid():
     X = np.array([[0.0, 0.0], [4.0, 4.0]])
     m = cl.kmeans_fit(X, 2, seed=0)
-    a = cl.assign_patterns(m, m.centroids[1][None, :].copy())
-    assert a.labels[0] == 1
-
-
-def test_assign_dimension_mismatch():
-    m = cl.kmeans_fit(np.zeros((4, 2)) + np.arange(4)[:, None], 2, seed=0)
-    with pytest.raises(ClusteringError):
-        cl.assign_patterns(m, np.zeros((3, 5)))
+    assert nearest_labels(m.centroids, m.centroids[1][None, :].copy())[0] == 1
 
 
 def test_sort_patterns_by_size():
     X = np.vstack([np.zeros((2, 1)), np.ones((6, 1)) * 10])
     m = cl.kmeans_fit(X, 2, seed=0)
-    a = cl.assign_patterns(m, X)
-    m2, a2 = cl.sort_patterns_by_size(m, a)
+    a2 = cl.sort_patterns_by_size(m.fit_labels, m.k)
     assert a2.sizes[0] >= a2.sizes[1]
     assert a2.sizes.sum() == 8
-    back = cl.assign_patterns(m2, X)
+    back = cl.sort_patterns_by_size(nearest_labels(m.centroids, X), m.k)
     assert np.array_equal(back.labels, a2.labels)
 
 

@@ -226,13 +226,23 @@ def test_split_fraction_within_one_sample(rng):
             assert abs(got - 0.7 * n_cls) <= 1.0
 
 
-def test_split_rejects_bad_ratio_and_single_class():
+def test_split_rejects_bad_ratio():
     ds = make_dataset(np.zeros((6, 2)), [1, 1, 0, 0, 0, 0])
     with pytest.raises(DataError):
         stratified_split(ds, 1.0, 0)
-    single = make_dataset(np.zeros((6, 2)), [1, 1, 1, 1, 1, 1])
-    with pytest.raises(DataError):
-        stratified_split(single, 0.7, 0)
+
+
+def test_split_one_class_like_any_other():
+    # class 0 is drawn first, so alone it splits as it does beside class 1
+    both = make_dataset(np.zeros((9, 2)), [1, 0, 0, 1, 0, 0, 1, 0, 0])
+    s = stratified_split(both, 0.7, 4)
+    zeros = np.flatnonzero(both.y == 0)
+    single = stratified_split(both.take(zeros), 0.7, 4)
+    assert len(single.train) == 4 and len(single.test) == 2
+    assert np.array_equal(zeros[single.train], s.train[both.y[s.train] == 0])
+    assert np.array_equal(zeros[single.test], s.test[both.y[s.test] == 0])
+    one_row = stratified_split(make_dataset(np.zeros((1, 2)), [0]), 0.7, 0)
+    assert one_row.train.tolist() == [0] and one_row.test.tolist() == []
 
 
 def read_encoder_sidecar(path):

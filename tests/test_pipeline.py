@@ -205,7 +205,7 @@ def test_minority_pattern_gains_more_from_integration():
 def test_demographics_table_and_association():
     sample = small_cohort(n=2000)
     cfg = quick_config(bootstrap_b=0)
-    model, assignment, _ = pl.stage1(sample.dataset, cfg)
+    _, assignment = pl.stage1(sample.dataset, cfg)
     demo = pl.demographics_table(sample.dataset, assignment)
     assert demo is not None
     assert len(demo["rows"]) == 2

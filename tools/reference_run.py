@@ -7,7 +7,8 @@ must match. The sequence, on a ``separated2`` cohort of 800 rows with seed 3:
     synth, ingest, cluster, cluster --k-fixed 2,
     run (all seven algorithms, K fixed at 2, bootstrap B = 50,
          default hyperparameters with RF n_trees 5 and MLP max_epochs 10),
-    explain --pattern 0 --n-explain 20 --background 30
+    explain --pattern 0 --n-explain 20 --background 30,
+    run (GBT only, K voted over the default range, bootstrap B = 0)
 
 then synth, ingest and cluster on a ``separated2`` cohort of 3,000 rows, which
 is above ``select_k``'s 2,048-row sample cap, so the subsample and its top-up
@@ -51,6 +52,10 @@ def _config() -> dict:
     return cfg
 
 
+def _vote_config() -> dict:
+    return pipeline.RunConfig(seed=SEED, algorithms=("GBT",), bootstrap_b=0).to_dict()
+
+
 def _spec() -> dict:
     spec = synthcohort.separated_spec(2).to_dict()
     for pattern in spec["patterns"]:
@@ -67,6 +72,8 @@ def reference_artifacts(root) -> dict:
     root = Path(root)
     cfg_path = root / "config.json"
     cfg_path.write_text(json.dumps(_config()))
+    vote_cfg_path = root / "vote_config.json"
+    vote_cfg_path.write_text(json.dumps(_vote_config()))
     spec_path = root / "spec.json"
     spec_path.write_text(json.dumps(_spec()))
     clean = root / "ingest" / "clean.csv"
@@ -78,6 +85,7 @@ def reference_artifacts(root) -> dict:
         ["run", "--data", clean, "--config", cfg_path, "--out", root / "run"],
         ["explain", "--run-dir", root / "run", "--pattern", "0", "--n-explain", "20",
          "--background", "30"],
+        ["run", "--data", clean, "--config", vote_cfg_path, "--out", root / "run_vote"],
         ["synth", "--profile", "separated2", "--n", "3000", "--out", root / "synth_3000"],
         ["ingest", "--data", root / "synth_3000" / "synth_cohort.csv",
          "--out", root / "ingest_3000"],
